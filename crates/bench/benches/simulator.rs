@@ -1,12 +1,12 @@
 //! Discrete-event scheduling throughput (Figs 11-13, Tables 3-4 substrate),
 //! a comparison of the incremental `Simulator` kernel against the
-//! legacy one-shot path on a 0.1-scale Saturn September trace, and the
+//! one-shot `simulate_with` path on a 0.1-scale Saturn September trace, and the
 //! **scale-1.0 kernel group** pinning the full-production-scale speedup
 //! (802-node deployment class; see README "Performance").
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use helios_sim::{
-    jobs_from_trace, simulate, simulate_with, FifoPolicy, KernelConfig, OccupancyObserver, Policy,
-    SimConfig, SimJob, Simulator, TiresiasPolicy,
+    jobs_from_trace, simulate_with, FifoPolicy, KernelConfig, OccupancyObserver, Policy, SimJob,
+    Simulator, TiresiasPolicy,
 };
 use helios_trace::{generate, saturn_profile, venus, GeneratorConfig};
 
@@ -32,13 +32,20 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     for policy in [Policy::Fifo, Policy::Sjf, Policy::Srtf, Policy::Priority] {
         g.bench_function(format!("{policy:?}_30k_jobs"), |b| {
-            b.iter(|| simulate(black_box(&spec), black_box(&js), &SimConfig::new(policy)))
+            b.iter(|| {
+                simulate_with(
+                    black_box(&spec),
+                    black_box(&js),
+                    policy.build(),
+                    &KernelConfig::default(),
+                )
+            })
         });
     }
     g.finish();
 }
 
-/// Incremental kernel vs the legacy one-shot wrapper on a realistic
+/// Incremental kernel vs the one-shot `simulate_with` wrapper on a realistic
 /// workload: Saturn at 0.1 scale, September (the QSSF evaluation window).
 fn bench_kernel(c: &mut Criterion) {
     let trace = generate(
@@ -58,10 +65,11 @@ fn bench_kernel(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("oneshot_saturn_0.1", |b| {
         b.iter(|| {
-            simulate(
+            simulate_with(
                 black_box(&spec),
                 black_box(&js),
-                &SimConfig::new(Policy::Fifo),
+                Policy::Fifo.build(),
+                &KernelConfig::default(),
             )
         })
     });
@@ -133,10 +141,11 @@ fn bench_kernel_full_scale(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("fifo_saturn_1.0", |b| {
         b.iter(|| {
-            simulate(
+            simulate_with(
                 black_box(&spec),
                 black_box(&js),
-                &SimConfig::new(Policy::Fifo),
+                Policy::Fifo.build(),
+                &KernelConfig::default(),
             )
         })
     });

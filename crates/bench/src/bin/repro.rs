@@ -123,24 +123,6 @@ fn parse_args() -> Result<Args, String> {
 /// Write the perf trajectory file for `--bench-json`: run metadata plus
 /// one record per policy simulation the experiments executed.
 fn write_bench_json(path: &Path, args: &Args, ctx: &Context) -> Result<(), HeliosError> {
-    let records: Vec<serde_json::Value> = ctx.bench_records().iter().map(|r| r.to_json()).collect();
-    // Per-stage pipeline records (the `pipeline` experiment): one entry
-    // per (cluster, stage) with the stage's wall seconds.
-    let stages: Vec<serde_json::Value> = ctx.stage_records().iter().map(|r| r.to_json()).collect();
-    // Failure-injected run records (the `failure-soak` experiment):
-    // goodput, predictor precision/recall, and outcome digests.
-    let faults: Vec<serde_json::Value> = ctx.fault_records().iter().map(|r| r.to_json()).collect();
-    // Chaos recovery records (the `fleet-chaos` experiment): restarts,
-    // fallbacks, checkpoint write latency, recovery latency.
-    let resilience: Vec<serde_json::Value> = ctx
-        .resilience_records()
-        .iter()
-        .map(|r| r.to_json())
-        .collect();
-    // Overload records (the `fleet-overload` experiment): shed counts,
-    // VC fairness, status staleness, and the shed-vs-overflow digest pin.
-    let overload: Vec<serde_json::Value> =
-        ctx.overload_records().iter().map(|r| r.to_json()).collect();
     // Scheduler experiments fan clusters x policies out over rayon, so
     // wall times include sibling-simulation contention: record the host
     // parallelism (also stamped into every individual record) so
@@ -153,11 +135,14 @@ fn write_bench_json(path: &Path, args: &Args, ctx: &Context) -> Result<(), Helio
         "experiment": args.ids.join("+"),
         "parallelism": parallelism,
         "note": "wall_secs measured under the parallel clusters x policies fan-out; compare only across runs with the same fan-out shape and parallelism",
-        "runs": records,
-        "stages": stages,
-        "faults": faults,
-        "resilience": resilience,
-        "overload": overload,
+        // Per-policy simulations, pipeline stages (`pipeline`),
+        // failure-injected runs (`failure-soak`), chaos recoveries
+        // (`fleet-chaos`) and overload runs (`fleet-overload`).
+        "runs": ctx.bench_records("runs"),
+        "stages": ctx.bench_records("stages"),
+        "faults": ctx.bench_records("faults"),
+        "resilience": ctx.bench_records("resilience"),
+        "overload": ctx.bench_records("overload"),
     });
     let rendered = serde_json::to_string_pretty(&doc).map_err(|e| HeliosError::Io {
         context: format!("serializing {}", path.display()),
@@ -236,11 +221,8 @@ fn main() -> ExitCode {
         }
     }
     if let Some(path) = &args.bench_json {
-        let n = ctx.bench_records().len();
-        let s = ctx.stage_records().len();
-        let f = ctx.fault_records().len();
-        let r = ctx.resilience_records().len();
-        let o = ctx.overload_records().len();
+        let [n, s, f, r, o] = ["runs", "stages", "faults", "resilience", "overload"]
+            .map(|k| ctx.bench_records(k).len());
         if let Err(e) = write_bench_json(path, &args, &ctx) {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;

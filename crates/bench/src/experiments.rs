@@ -15,10 +15,11 @@ use helios_predict::metrics::smape;
 use helios_predict::{
     seasonal_naive, Arima, FourierForecaster, FourierParams, LstmForecaster, LstmParams,
 };
+use helios_sim::digest::sorted_outcome_digest;
 use helios_sim::{
-    group_delay_ratios, jobs_from_trace, per_vc_queue_delay, schedule_stats, simulate,
-    simulate_with, FaultConfig, FifoPolicy, KernelConfig, Placement, Policy, PriorityPolicy,
-    SchedulingPolicy, SimConfig, SimJob, Simulator, SjfPolicy, SrtfPolicy, TiresiasPolicy,
+    group_delay_ratios, jobs_from_trace, per_vc_queue_delay, schedule_stats, simulate_with,
+    FaultConfig, FifoPolicy, KernelConfig, Placement, Policy, PolicyEntry, SchedulingPolicy,
+    SimJob, Simulator,
 };
 use helios_trace::{
     generate_helios, generate_philly, GeneratorConfig, HeliosError, Trace, SECS_PER_DAY,
@@ -36,245 +37,6 @@ pub struct ExperimentOutput {
     pub data: serde_json::Value,
 }
 
-/// Wall-time, throughput, and outcome digest of one policy simulation —
-/// the machine-readable perf record behind `repro --bench-json`.
-#[derive(Debug, Clone)]
-pub struct PolicyRunPerf {
-    pub cluster: String,
-    pub policy: String,
-    /// Jobs simulated (September evaluation window).
-    pub jobs: usize,
-    /// Wall-clock seconds for the simulate call (excludes trace
-    /// generation and QSSF training).
-    pub wall_secs: f64,
-    pub jobs_per_sec: f64,
-    /// FNV-1a over every outcome's (id, start, end, preemptions) — a
-    /// stable fingerprint that pins scheduling results across perf work.
-    pub outcome_digest: String,
-    /// Worker threads available when this record was measured
-    /// ([`run_parallelism`]) — wall times are only comparable
-    /// like-for-like.
-    pub parallelism: usize,
-}
-
-impl PolicyRunPerf {
-    pub fn to_json(&self) -> serde_json::Value {
-        json!({
-            "cluster": self.cluster.clone(),
-            "policy": self.policy.clone(),
-            "jobs": self.jobs,
-            "wall_secs": self.wall_secs,
-            "jobs_per_sec": self.jobs_per_sec,
-            "outcome_digest": self.outcome_digest.clone(),
-            "parallelism": self.parallelism,
-        })
-    }
-}
-
-/// Wall time of one façade pipeline stage on one cluster — the per-stage
-/// records the `pipeline` experiment feeds into `repro --bench-json`
-/// (the BENCH_pipeline.json trajectory).
-#[derive(Debug, Clone)]
-pub struct StagePerfRecord {
-    pub cluster: String,
-    /// Stage label (`generate`, `characterize`, `train_qssf`, `train_ces`,
-    /// `schedule:<policy>`, `report`, `pipeline`, or `total`).
-    pub stage: String,
-    pub wall_secs: f64,
-    /// Worker threads available when this record was measured
-    /// ([`run_parallelism`]).
-    pub parallelism: usize,
-}
-
-impl StagePerfRecord {
-    pub fn to_json(&self) -> serde_json::Value {
-        json!({
-            "cluster": self.cluster.clone(),
-            "stage": self.stage.clone(),
-            "wall_secs": self.wall_secs,
-            "parallelism": self.parallelism,
-        })
-    }
-}
-
-/// One failure-injected policy run: goodput, predictor quality, and the
-/// outcome digest — the machine-readable record behind the `faults`
-/// section of `repro --bench-json` (the BENCH_faults.json format).
-#[derive(Debug, Clone)]
-pub struct FaultRunRecord {
-    pub cluster: String,
-    /// Policy label; proactive-drain runs carry the wrapper's
-    /// `DRAIN+<inner>` name.
-    pub policy: String,
-    /// Jobs simulated (September evaluation window).
-    pub jobs: usize,
-    /// Node failures injected during the run.
-    pub failures: u64,
-    /// Gang kills those failures caused.
-    pub killed_jobs: u64,
-    /// Goodput ratio: useful / (useful + lost) GPU·hours.
-    pub goodput: f64,
-    /// GPU·hours of work lost to failure-induced kills.
-    pub lost_gpu_hours: f64,
-    /// Failure-predictor precision on its held-out split (the same
-    /// trained model scores both rows of a cluster's pair).
-    pub precision: f64,
-    /// Failure-predictor recall on its held-out split.
-    pub recall: f64,
-    pub wall_secs: f64,
-    /// FNV-1a over every outcome's (id, start, end, preemptions) — pins
-    /// the injected run including the failure sequence.
-    pub outcome_digest: String,
-    /// Worker threads available when this record was measured
-    /// ([`run_parallelism`]).
-    pub parallelism: usize,
-}
-
-impl FaultRunRecord {
-    pub fn to_json(&self) -> serde_json::Value {
-        json!({
-            "cluster": self.cluster.clone(),
-            "policy": self.policy.clone(),
-            "jobs": self.jobs,
-            "failures": self.failures,
-            "killed_jobs": self.killed_jobs,
-            "goodput": self.goodput,
-            "lost_gpu_hours": self.lost_gpu_hours,
-            "precision": self.precision,
-            "recall": self.recall,
-            "wall_secs": self.wall_secs,
-            "outcome_digest": self.outcome_digest.clone(),
-            "parallelism": self.parallelism,
-        })
-    }
-}
-
-/// One cluster's ledger from the `fleet-chaos` experiment: how much
-/// self-healing the chaos schedule forced (restarts, corrupt-generation
-/// fallbacks), what it cost (checkpoint write latency, recovery time),
-/// and whether the recovered outcome stream still matched the
-/// uninterrupted twin bit for bit — the `resilience` section of
-/// `repro --bench-json` (the BENCH_fleet.json format).
-#[derive(Debug, Clone)]
-pub struct ResilienceRecord {
-    pub cluster: String,
-    pub policy: String,
-    /// Jobs streamed through this cluster during the chaos run.
-    pub jobs: usize,
-    /// Supervisor restarts the injected panics forced.
-    pub restarts: u32,
-    /// Corrupt/undecodable checkpoint generations skipped during those
-    /// recoveries (each one is a successful fall-back to an older
-    /// generation).
-    pub fallbacks: u32,
-    /// Checkpoint generations written (launch + auto + post-recovery
-    /// re-baselines).
-    pub checkpoint_writes: u64,
-    /// Mean wall-clock checkpoint write latency, milliseconds.
-    pub checkpoint_write_ms_mean: f64,
-    /// Total wall-clock time spent in restore-and-replay recovery,
-    /// milliseconds.
-    pub recovery_ms_total: f64,
-    /// Mean wall-clock recovery latency per restart, milliseconds.
-    pub recovery_ms_mean: f64,
-    /// Whether the chaos run's outcome digest equals the uninterrupted
-    /// twin's — the crash-consistency pin. Always `true` in a committed
-    /// BENCH_fleet.json (a mismatch fails the experiment).
-    pub digest_match: bool,
-    /// FNV-1a over every outcome's (id, start, end, preemptions).
-    pub outcome_digest: String,
-    /// Wall-clock seconds of the whole chaos run on this fleet.
-    pub wall_secs: f64,
-    /// Worker threads available when this record was measured
-    /// ([`run_parallelism`]).
-    pub parallelism: usize,
-}
-
-impl ResilienceRecord {
-    pub fn to_json(&self) -> serde_json::Value {
-        json!({
-            "cluster": self.cluster.clone(),
-            "policy": self.policy.clone(),
-            "jobs": self.jobs,
-            "restarts": self.restarts,
-            "fallbacks": self.fallbacks,
-            "checkpoint_writes": self.checkpoint_writes,
-            "checkpoint_write_ms_mean": self.checkpoint_write_ms_mean,
-            "recovery_ms_total": self.recovery_ms_total,
-            "recovery_ms_mean": self.recovery_ms_mean,
-            "digest_match": self.digest_match,
-            "outcome_digest": self.outcome_digest.clone(),
-            "wall_secs": self.wall_secs,
-            "parallelism": self.parallelism,
-        })
-    }
-}
-
-/// One cluster's ledger from the `fleet-overload` experiment: how much
-/// load the adaptive admission control shed under a sustained ≥2×
-/// overload, whether the shedding stayed VC-fair (heavy VC only), what
-/// the deadline-bounded status path observed while the worker was
-/// saturated, and whether disabling shedding reproduced the legacy
-/// FleetOverflow stream bit for bit — the `overload` section of
-/// `repro --bench-json` (the BENCH_fleet.json format).
-#[derive(Debug, Clone)]
-pub struct OverloadRecord {
-    pub cluster: String,
-    pub policy: String,
-    /// Jobs eventually admitted (all of them — shed submissions are
-    /// retried after a drain cycle).
-    pub jobs: usize,
-    /// Offered load per admission cycle over total ingestion capacity.
-    pub overload_factor: f64,
-    /// Shed decisions counted by the fleet ([`FleetHealth::shed_jobs`](helios_fleet::FleetHealth)).
-    pub shed_jobs: u64,
-    /// Driver-observed sheds on the deliberately heavy VC.
-    pub shed_heavy_vc: u64,
-    /// Driver-observed sheds on every light VC (fairness pins this to 0).
-    pub shed_light_vcs: u64,
-    /// FleetOverflow refusals the shedding-disabled twin hit instead.
-    pub twin_overflows: u64,
-    /// `status_within` samples taken while the run was saturated.
-    pub status_samples: u64,
-    /// p99 of the sampled snapshot staleness, in admission cycles.
-    pub status_p99_age_cycles: u64,
-    /// Samples answered in degraded mode (lock miss or unhealthy worker).
-    pub status_degraded: u64,
-    /// Whether the shedding run's outcome digest equals the
-    /// shedding-disabled twin's. Always `true` in a committed
-    /// BENCH_fleet.json (a mismatch fails the experiment).
-    pub digest_match: bool,
-    /// FNV-1a over every outcome's (id, start, end, preemptions).
-    pub outcome_digest: String,
-    /// Wall-clock seconds of the shedding run on this fleet.
-    pub wall_secs: f64,
-    /// Worker threads available when this record was measured
-    /// ([`run_parallelism`]).
-    pub parallelism: usize,
-}
-
-impl OverloadRecord {
-    pub fn to_json(&self) -> serde_json::Value {
-        json!({
-            "cluster": self.cluster.clone(),
-            "policy": self.policy.clone(),
-            "jobs": self.jobs,
-            "overload_factor": self.overload_factor,
-            "shed_jobs": self.shed_jobs,
-            "shed_heavy_vc": self.shed_heavy_vc,
-            "shed_light_vcs": self.shed_light_vcs,
-            "twin_overflows": self.twin_overflows,
-            "status_samples": self.status_samples,
-            "status_p99_age_cycles": self.status_p99_age_cycles,
-            "status_degraded": self.status_degraded,
-            "digest_match": self.digest_match,
-            "outcome_digest": self.outcome_digest.clone(),
-            "wall_secs": self.wall_secs,
-            "parallelism": self.parallelism,
-        })
-    }
-}
-
 /// Worker/thread count of this run — stamped into every perf record so
 /// trajectories are only ever compared like-for-like.
 pub fn run_parallelism() -> usize {
@@ -283,20 +45,28 @@ pub fn run_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// Stable FNV-1a fingerprint of a scheduling result.
-pub fn outcome_digest(outcomes: &[helios_sim::JobOutcome]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for o in outcomes {
-        mix(o.id);
-        mix(o.start as u64);
-        mix(o.end as u64);
-        mix(o.preemptions as u64);
-    }
-    format!("{h:016x}")
+pub use helios_sim::digest::outcome_digest;
+
+/// One `runs` record: wall time, throughput and outcome digest of one
+/// policy simulation. `wall_secs` excludes trace generation and QSSF
+/// training.
+fn run_record(
+    cluster: &str,
+    policy: &str,
+    jobs: usize,
+    wall_secs: f64,
+    jobs_per_sec: f64,
+    outcome_digest: String,
+) -> serde_json::Value {
+    json!({
+        "cluster": cluster,
+        "policy": policy,
+        "jobs": jobs,
+        "wall_secs": wall_secs,
+        "jobs_per_sec": jobs_per_sec,
+        "outcome_digest": outcome_digest,
+        "parallelism": run_parallelism(),
+    })
 }
 
 /// Cached scheduler comparison for one cluster.
@@ -305,9 +75,11 @@ pub struct SchedulerRun {
     /// Policy label -> outcomes, keyed in label order so report
     /// iteration is digest-stable.
     pub outcomes: BTreeMap<&'static str, Vec<helios_sim::JobOutcome>>,
-    /// Per-policy wall-time records, in the order the policies ran.
-    pub perf: Vec<PolicyRunPerf>,
 }
+
+/// One policy's simulation: its column label, its `runs` record and its
+/// outcomes.
+type PolicyRun = (&'static str, serde_json::Value, Vec<helios_sim::JobOutcome>);
 
 /// Shared, lazily-computed experiment state.
 pub struct Context {
@@ -320,25 +92,16 @@ pub struct Context {
     sched_philly: Option<SchedulerRun>,
     ces: Option<Vec<(String, CesEvaluation)>>,
     ces_philly: Option<(String, CesEvaluation)>,
-    stages: Vec<StagePerfRecord>,
-    /// Perf records produced by the `fleet-soak` experiment (empty unless
-    /// it ran) — merged into [`Context::bench_records`].
-    fleet_perf: Vec<PolicyRunPerf>,
+    /// `repro --bench-json` records by section (`runs`, `stages`,
+    /// `faults`, `resilience`, `overload`), in the order the experiments
+    /// produced them.
+    records: BTreeMap<&'static str, Vec<serde_json::Value>>,
     /// Fault model every scheduler simulation runs under (`repro
     /// --failures <mtbf-hours>`); `None` = failure-free, the default.
     faults: Option<FaultConfig>,
     /// Wrap every selected policy in the proactive-drain layer (`repro
     /// --policy drain:<inner>`).
     drain: bool,
-    /// Records produced by the `failure-soak` experiment (empty unless it
-    /// ran) — serialized as the `faults` section of `--bench-json`.
-    faults_perf: Vec<FaultRunRecord>,
-    /// Records produced by the `fleet-chaos` experiment (empty unless it
-    /// ran) — serialized as the `resilience` section of `--bench-json`.
-    resilience: Vec<ResilienceRecord>,
-    /// Records produced by the `fleet-overload` experiment (empty unless
-    /// it ran) — serialized as the `overload` section of `--bench-json`.
-    overload: Vec<OverloadRecord>,
 }
 
 impl Context {
@@ -358,13 +121,9 @@ impl Context {
             sched_philly: None,
             ces: None,
             ces_philly: None,
-            stages: Vec::new(),
-            fleet_perf: Vec::new(),
+            records: BTreeMap::new(),
             faults: None,
             drain: false,
-            faults_perf: Vec::new(),
-            resilience: Vec::new(),
-            overload: Vec::new(),
         })
     }
 
@@ -397,7 +156,7 @@ impl Context {
     /// Restrict (or extend) the scheduler experiments to one policy — or
     /// `"all"` for every shipped policy including Tiresias. Accepts the
     /// `repro --policy` values: `fifo|sjf|srtf|qssf|tiresias|all`
-    /// (case-insensitive; the valid set is `POLICY_TABLE`). A `drain:`
+    /// (case-insensitive; the valid set is [`POLICIES`]). A `drain:`
     /// prefix (e.g. `drain:fifo`) wraps every selected policy in the
     /// proactive-drain layer ([`DrainPolicy`]), which marks
     /// high-failure-risk nodes draining before they fail.
@@ -409,10 +168,7 @@ impl Context {
         self.drain = drain;
         self.policies = if choice.eq_ignore_ascii_case("all") {
             POLICIES.to_vec()
-        } else if let Some((label, _)) = POLICY_TABLE
-            .iter()
-            .find(|(l, _)| l.eq_ignore_ascii_case(choice))
-        {
+        } else if let Some(label) = POLICIES.iter().find(|l| l.eq_ignore_ascii_case(choice)) {
             vec![*label]
         } else {
             return Err(HeliosError::UnknownName {
@@ -477,14 +233,16 @@ impl Context {
                 traces.len(),
                 policies.len()
             );
-            let seed = self.cfg.seed;
             let faults = self.faults;
             let drain = self.drain;
-            let runs: Vec<SchedulerRun> = traces
+            let (runs, records): (Vec<SchedulerRun>, Vec<_>) = traces
                 .par_iter()
                 .with_min_len(1)
-                .map(|t| run_schedulers_with(t, seed, &policies, faults.as_ref(), drain))
-                .collect();
+                .map(|t| run_schedulers_with(t, &policies, faults.as_ref(), drain))
+                .collect::<Vec<_>>()
+                .into_iter()
+                .unzip();
+            self.push_records("runs", records.into_iter().flatten());
             self.sched = Some(runs);
         }
         self.sched.as_ref().unwrap()
@@ -503,92 +261,36 @@ impl Context {
             eprintln!("[ctx] scheduling experiments on Philly (parallel)...");
             let (lo, hi) = (t.calendar.month_start(0), t.calendar.month_end(1));
             let base = jobs_from_trace(t, lo, hi);
-            let kcfg = KernelConfig::default();
-            let results: Vec<(&'static str, PolicyRunPerf, Vec<helios_sim::JobOutcome>)> = policies
-                .par_iter()
-                .with_min_len(1)
-                .map(|&label| {
-                    let jobs: Vec<SimJob>;
-                    let jobs_ref: &[SimJob] = if label == "QSSF" {
-                        // QSSF with randomized priorities matching
-                        // Helios-like estimation error.
-                        jobs = noisy_oracle_priorities(t, lo, hi, 0.8, seed ^ 0xF1);
-                        &jobs
-                    } else {
-                        &base
-                    };
-                    let policy = if label == "QSSF" {
-                        Box::new(PriorityPolicy::named("QSSF")) as Box<dyn SchedulingPolicy>
-                    } else {
-                        baseline_policy(label)
-                    };
-                    let policy = maybe_drain(policy, faults.as_ref(), drain);
-                    timed_run(
-                        "Philly",
-                        label,
-                        &t.spec,
-                        jobs_ref,
-                        policy,
-                        &kcfg,
-                        faults.as_ref(),
-                    )
-                })
-                .collect();
-            let mut outcomes = BTreeMap::new();
-            let mut perf = Vec::new();
-            for (label, p, o) in results {
-                perf.push(p);
-                outcomes.insert(label, o);
-            }
-            self.sched_philly = Some(SchedulerRun {
-                cluster: "Philly".into(),
-                outcomes,
-                perf,
-            });
+            // QSSF with randomized priorities matching Helios-like
+            // estimation error.
+            let noisy = || noisy_oracle_priorities(t, lo, hi, 0.8, seed ^ 0xF1);
+            let (run, records) = compare_policies(
+                "Philly",
+                &t.spec,
+                &base,
+                noisy,
+                &policies,
+                faults.as_ref(),
+                drain,
+            );
+            self.push_records("runs", records);
+            self.sched_philly = Some(run);
         }
         self.sched_philly.as_ref().unwrap()
     }
 
-    /// Every per-policy wall-time record the scheduler experiments have
-    /// produced so far (Helios clusters first, then Philly if run) — the
-    /// payload behind `repro --bench-json`.
-    pub fn bench_records(&self) -> Vec<&PolicyRunPerf> {
-        let mut out = Vec::new();
-        if let Some(runs) = &self.sched {
-            out.extend(runs.iter().flat_map(|r| r.perf.iter()));
-        }
-        if let Some(run) = &self.sched_philly {
-            out.extend(run.perf.iter());
-        }
-        out.extend(self.fleet_perf.iter());
-        out
+    /// The `repro --bench-json` records of one section produced so far,
+    /// in production order (empty unless an experiment filled it).
+    pub fn bench_records(&self, section: &str) -> &[serde_json::Value] {
+        self.records.get(section).map_or(&[], Vec::as_slice)
     }
 
-    /// Per-stage wall-time records produced by the `pipeline` experiment
-    /// (empty unless it ran) — serialized into `repro --bench-json`.
-    pub fn stage_records(&self) -> &[StagePerfRecord] {
-        &self.stages
-    }
-
-    /// Failure-injected run records produced by the `failure-soak`
-    /// experiment (empty unless it ran) — the `faults` section of
-    /// `repro --bench-json` (BENCH_faults.json).
-    pub fn fault_records(&self) -> &[FaultRunRecord] {
-        &self.faults_perf
-    }
-
-    /// Chaos-run resilience records produced by the `fleet-chaos`
-    /// experiment (empty unless it ran) — the `resilience` section of
-    /// `repro --bench-json` (BENCH_fleet.json).
-    pub fn resilience_records(&self) -> &[ResilienceRecord] {
-        &self.resilience
-    }
-
-    /// Overload-run records produced by the `fleet-overload` experiment
-    /// (empty unless it ran) — the `overload` section of
-    /// `repro --bench-json` (BENCH_fleet.json).
-    pub fn overload_records(&self) -> &[OverloadRecord] {
-        &self.overload
+    fn push_records(
+        &mut self,
+        section: &'static str,
+        records: impl IntoIterator<Item = serde_json::Value>,
+    ) {
+        self.records.entry(section).or_default().extend(records);
     }
 
     /// CES evaluations: September 1–21 on each Helios cluster, one
@@ -653,28 +355,11 @@ fn scaled_ces_config(nodes: u32) -> CesServiceConfig {
     cfg
 }
 
-type PolicyCtor = fn() -> Box<dyn SchedulingPolicy>;
-
-/// Single source of truth for the scheduler-experiment policies: label →
-/// constructor, canonical column order. `None` marks QSSF, whose policy
-/// object comes from its trained service ([`QssfService::scheduling_policy`]).
-const POLICY_TABLE: [(&str, Option<PolicyCtor>); 5] = [
-    ("FIFO", Some(|| Box::new(FifoPolicy))),
-    ("SJF", Some(|| Box::new(SjfPolicy))),
-    ("QSSF", None),
-    ("SRTF", Some(|| Box::new(SrtfPolicy))),
-    ("TIRESIAS", Some(|| Box::new(TiresiasPolicy::default()))),
-];
-
-/// Policy object for one QSSF-agnostic policy label (validated against
-/// `POLICY_TABLE` by [`Context::set_policy_choice`]).
-fn baseline_policy(label: &str) -> Box<dyn SchedulingPolicy> {
-    let ctor = POLICY_TABLE
-        .iter()
-        .find(|(l, _)| *l == label)
-        .and_then(|(_, c)| *c)
-        .expect("label validated against POLICY_TABLE by set_policy_choice");
-    ctor()
+/// Policy object for one experiment label, from the `helios-sim`
+/// registry (labels are validated by [`Context::set_policy_choice`]).
+fn registry_policy(label: &str) -> Box<dyn SchedulingPolicy> {
+    let entry = PolicyEntry::find(label).expect("experiment labels come from the policy registry");
+    (entry.build)()
 }
 
 /// Wrap a policy in the proactive-drain layer when `--policy drain:<inner>`
@@ -710,125 +395,120 @@ fn timed_run(
     spec: &helios_trace::ClusterSpec,
     jobs: &[SimJob],
     policy: Box<dyn SchedulingPolicy>,
-    kcfg: &KernelConfig,
     faults: Option<&FaultConfig>,
-) -> (&'static str, PolicyRunPerf, Vec<helios_sim::JobOutcome>) {
+) -> PolicyRun {
     // Drain-wrapped runs report the wrapper's `DRAIN+<inner>` name so the
     // perf records distinguish them; `label` stays the inner policy (the
     // experiments' column key).
     let policy_name = policy.name().to_string();
     let started = Instant::now();
-    let outcomes = match faults {
-        None => {
-            simulate_with(spec, jobs, policy, kcfg)
-                .expect("sim inputs pre-filtered")
-                .outcomes
-        }
-        Some(f) => {
-            let mut sim = Simulator::with_config(spec, policy, kcfg);
-            sim.enable_faults(f)
-                .expect("fault config validated upstream");
-            sim.push_jobs(jobs).expect("sim inputs pre-filtered");
-            sim.run_to_completion();
-            sim.drain_outcomes()
-        }
-    };
+    let mut sim = Simulator::with_config(spec, policy, &KernelConfig::default());
+    if let Some(f) = faults {
+        sim.enable_faults(f)
+            .expect("fault config validated upstream");
+    }
+    sim.push_jobs(jobs).expect("sim inputs pre-filtered");
+    sim.run_to_completion();
+    let outcomes = sim.drain_outcomes();
     let wall_secs = started.elapsed().as_secs_f64();
-    let perf = PolicyRunPerf {
-        cluster: cluster.to_string(),
-        policy: policy_name,
-        jobs: jobs.len(),
-        wall_secs,
-        jobs_per_sec: if wall_secs > 0.0 {
-            jobs.len() as f64 / wall_secs
-        } else {
-            f64::INFINITY
-        },
-        outcome_digest: outcome_digest(&outcomes),
-        parallelism: run_parallelism(),
+    let jobs_per_sec = if wall_secs > 0.0 {
+        jobs.len() as f64 / wall_secs
+    } else {
+        f64::INFINITY
     };
-    (label, perf, outcomes)
+    let digest = outcome_digest(&outcomes);
+    let record = run_record(
+        cluster,
+        &policy_name,
+        jobs.len(),
+        wall_secs,
+        jobs_per_sec,
+        digest,
+    );
+    (label, record, outcomes)
 }
 
-/// Run the selected scheduling policies on one cluster's September jobs
-/// through the pluggable kernel, one policy per rayon thread
-/// (failure-free, no drain wrapper — the legacy entry point).
-pub fn run_schedulers(trace: &Trace, seed: u64, policies: &[&'static str]) -> SchedulerRun {
-    run_schedulers_with(trace, seed, policies, None, false)
-}
-
-/// [`run_schedulers`] with an optional fault model (failure injection in
-/// every kernel) and optional proactive-drain wrapping of each policy.
-pub fn run_schedulers_with(
-    trace: &Trace,
-    seed: u64,
+/// Compare the selected policies on one cluster's evaluation window, one
+/// policy per rayon thread: every policy replays `base` except QSSF,
+/// which replays the jobs `qssf_jobs` scores. Every kernel runs under the
+/// optional fault model, every policy optionally inside the
+/// proactive-drain layer. Returns the comparison and its `runs` records,
+/// in policy order.
+fn compare_policies(
+    cluster: &str,
+    spec: &helios_trace::ClusterSpec,
+    base: &[SimJob],
+    qssf_jobs: impl Fn() -> Vec<SimJob> + Sync,
     policies: &[&'static str],
     faults: Option<&FaultConfig>,
     drain: bool,
-) -> SchedulerRun {
-    let _ = seed;
-    let cal = &trace.calendar;
-    let (lo, hi) = cal.month_range(5); // September
-    let base = jobs_from_trace(trace, lo, hi);
-    let kcfg = KernelConfig::default();
-    let cluster = trace.spec.id.name().to_string();
-    let results: Vec<(&'static str, PolicyRunPerf, Vec<helios_sim::JobOutcome>)> = policies
+) -> (SchedulerRun, Vec<serde_json::Value>) {
+    let results: Vec<PolicyRun> = policies
         .par_iter()
         .with_min_len(1)
         .map(|&label| {
-            if label == "QSSF" {
-                // QSSF: train on April–August, score September causally.
-                let mut qssf = QssfService::new(QssfConfig::default());
-                qssf.train(trace, 0, lo).expect("training window non-empty");
-                let scored = qssf.assign_priorities(trace, lo, hi);
-                timed_run(
-                    &cluster,
-                    label,
-                    &trace.spec,
-                    &scored,
-                    maybe_drain(qssf.scheduling_policy(), faults, drain),
-                    &kcfg,
-                    faults,
-                )
+            let scored;
+            let jobs = if label == PolicyEntry::QSSF.label {
+                scored = qssf_jobs();
+                scored.as_slice()
             } else {
-                timed_run(
-                    &cluster,
-                    label,
-                    &trace.spec,
-                    &base,
-                    maybe_drain(baseline_policy(label), faults, drain),
-                    &kcfg,
-                    faults,
-                )
-            }
+                base
+            };
+            let policy = maybe_drain(registry_policy(label), faults, drain);
+            timed_run(cluster, label, spec, jobs, policy, faults)
         })
         .collect();
     let mut outcomes = BTreeMap::new();
-    let mut perf = Vec::new();
-    for (label, p, o) in results {
-        perf.push(p);
+    let mut records = Vec::new();
+    for (label, record, o) in results {
+        records.push(record);
         outcomes.insert(label, o);
     }
-    SchedulerRun {
-        cluster,
-        outcomes,
-        perf,
-    }
+    let cluster = cluster.to_string();
+    (SchedulerRun { cluster, outcomes }, records)
 }
 
-/// Every shipped scheduler-experiment policy, canonical column order
-/// (derived from `POLICY_TABLE`).
+/// Run the selected scheduling policies on one cluster's September jobs
+/// (QSSF trained on April–August and scoring September causally), with
+/// an optional fault model and optional proactive-drain wrapping of each
+/// policy. Returns the comparison and its `runs` records.
+pub fn run_schedulers_with(
+    trace: &Trace,
+    policies: &[&'static str],
+    faults: Option<&FaultConfig>,
+    drain: bool,
+) -> (SchedulerRun, Vec<serde_json::Value>) {
+    let (lo, hi) = trace.calendar.month_range(5); // September
+    let qssf_jobs = || {
+        let mut qssf = QssfService::new(QssfConfig::default());
+        qssf.train(trace, 0, lo).expect("training window non-empty");
+        qssf.assign_priorities(trace, lo, hi)
+    };
+    let base = jobs_from_trace(trace, lo, hi);
+    let cluster = trace.spec.id.name();
+    compare_policies(
+        cluster,
+        &trace.spec,
+        &base,
+        qssf_jobs,
+        policies,
+        faults,
+        drain,
+    )
+}
+
+/// Every shipped scheduler-experiment policy, canonical column order.
 pub const POLICIES: [&str; 5] = [
-    POLICY_TABLE[0].0,
-    POLICY_TABLE[1].0,
-    POLICY_TABLE[2].0,
-    POLICY_TABLE[3].0,
-    POLICY_TABLE[4].0,
+    PolicyEntry::FIFO.label,
+    PolicyEntry::SJF.label,
+    PolicyEntry::QSSF.label,
+    PolicyEntry::SRTF.label,
+    PolicyEntry::TIRESIAS.label,
 ];
 
-/// The paper's Fig. 11 / Table 3 policy set (the default): everything in
-/// `POLICY_TABLE` except the follow-up Tiresias discipline.
-pub const PAPER_POLICIES: [&str; 4] = ["FIFO", "SJF", "QSSF", "SRTF"];
+/// The paper's Fig. 11 / Table 3 policy set (the default): [`POLICIES`]
+/// without the follow-up Tiresias discipline.
+pub const PAPER_POLICIES: [&str; 4] = [POLICIES[0], POLICIES[1], POLICIES[2], POLICIES[3]];
 
 // ---------------------------------------------------------------------------
 // Characterization experiments (§3)
@@ -1899,9 +1579,14 @@ fn ablation_lambda(ctx: &mut Context) -> ExperimentOutput {
         svc.train(&venus, 0, lo).expect("training window non-empty");
         let scored = svc.assign_priorities(&venus, lo, hi);
         let stats = schedule_stats(
-            &simulate(&venus.spec, &scored, &SimConfig::new(Policy::Priority))
-                .expect("sim inputs pre-filtered")
-                .outcomes,
+            &simulate_with(
+                &venus.spec,
+                &scored,
+                Policy::Priority.build(),
+                &KernelConfig::default(),
+            )
+            .expect("sim inputs pre-filtered")
+            .outcomes,
         );
         if stats.avg_jct < best.1 {
             best = (lambda, stats.avg_jct);
@@ -1933,13 +1618,12 @@ fn ablation_backfill(ctx: &mut Context) -> ExperimentOutput {
     let mut t = TextTable::new(vec!["config", "avg JCT (s)", "avg queue (s)", "# queued"]);
     let mut data = serde_json::Map::new();
     for (label, backfill) in [("QSSF", false), ("QSSF+backfill", true)] {
-        let cfg = SimConfig {
-            policy: Policy::Priority,
+        let kcfg = KernelConfig {
             placement: Placement::Consolidate,
             backfill,
         };
         let stats = schedule_stats(
-            &simulate(&venus.spec, &scored, &cfg)
+            &simulate_with(&venus.spec, &scored, Policy::Priority.build(), &kcfg)
                 .expect("sim inputs pre-filtered")
                 .outcomes,
         );
@@ -1972,7 +1656,7 @@ fn ablation_backfill(ctx: &mut Context) -> ExperimentOutput {
 /// the records (the `BENCH_pipeline.json` trajectory).
 fn pipeline_exp(ctx: &mut Context) -> ExperimentOutput {
     use helios::prelude::*;
-    let mut rows: Vec<StagePerfRecord> = Vec::new();
+    let mut rows: Vec<serde_json::Value> = Vec::new();
     let mut table = TextTable::new(vec!["stage", "Venus", "Earth", "Saturn", "Uranus"]);
     let mut per_cluster: Vec<(String, Vec<(String, f64)>)> = Vec::new();
     for preset in Preset::HELIOS {
@@ -1995,12 +1679,12 @@ fn pipeline_exp(ctx: &mut Context) -> ExperimentOutput {
             .collect();
         stages.push(("total".into(), total.elapsed().as_secs_f64()));
         for (stage, wall_secs) in &stages {
-            rows.push(StagePerfRecord {
-                cluster: preset.name().to_string(),
-                stage: stage.clone(),
-                wall_secs: *wall_secs,
-                parallelism: run_parallelism(),
-            });
+            rows.push(json!({
+                "cluster": preset.name(),
+                "stage": stage.clone(),
+                "wall_secs": *wall_secs,
+                "parallelism": run_parallelism(),
+            }));
         }
         per_cluster.push((preset.name().to_string(), stages));
     }
@@ -2022,8 +1706,8 @@ fn pipeline_exp(ctx: &mut Context) -> ExperimentOutput {
                 .collect::<Vec<_>>(),
         );
     }
-    let data = json!(rows.iter().map(|r| r.to_json()).collect::<Vec<_>>());
-    ctx.stages = rows;
+    let data = json!(rows.clone());
+    ctx.records.insert("stages", rows);
     ExperimentOutput {
         id: "pipeline".into(),
         text: format!(
@@ -2128,10 +1812,10 @@ fn fleet_soak(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
 
     let mut table = TextTable::new(vec!["cluster", "jobs", "outcome digest"]);
     let mut rows_json = Vec::new();
+    let mut records = Vec::new();
     for (cluster, outcomes) in &per_cluster {
         let mut sorted = outcomes.clone();
-        sorted.sort_by_key(|o| o.id);
-        let digest = outcome_digest(&sorted);
+        let digest = sorted_outcome_digest(&mut sorted);
         if sorted.len() != submitted as usize / clusters.len() {
             return Err(HeliosError::invalid_config(
                 "fleet_soak",
@@ -2153,34 +1837,32 @@ fn fleet_soak(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
             "jobs": sorted.len(),
             "outcome_digest": digest.clone(),
         }));
-        ctx.fleet_perf.push(PolicyRunPerf {
-            cluster: cluster.name().to_string(),
-            policy: "FLEET-SOAK".into(),
-            jobs: sorted.len(),
+        records.push(run_record(
+            cluster.name(),
+            "FLEET-SOAK",
+            sorted.len(),
             wall_secs,
-            jobs_per_sec: sorted.len() as f64 / wall_secs.max(f64::MIN_POSITIVE),
-            outcome_digest: digest,
-            parallelism,
-        });
+            sorted.len() as f64 / wall_secs.max(f64::MIN_POSITIVE),
+            digest,
+        ));
     }
-    ctx.fleet_perf.push(PolicyRunPerf {
-        cluster: "ALL".into(),
-        policy: "FLEET-INGEST".into(),
-        jobs: submitted as usize,
-        wall_secs: submit_secs,
-        jobs_per_sec: ingest_jps,
-        outcome_digest: outcome_digest(&[]),
-        parallelism,
-    });
-    ctx.fleet_perf.push(PolicyRunPerf {
-        cluster: "ALL".into(),
-        policy: "FLEET-QUERY".into(),
-        jobs: queries as usize,
-        wall_secs: query_secs,
-        jobs_per_sec: queries as f64 / query_secs.max(f64::MIN_POSITIVE),
-        outcome_digest: outcome_digest(&[]),
-        parallelism,
-    });
+    records.push(run_record(
+        "ALL",
+        "FLEET-INGEST",
+        submitted as usize,
+        submit_secs,
+        ingest_jps,
+        outcome_digest(&[]),
+    ));
+    records.push(run_record(
+        "ALL",
+        "FLEET-QUERY",
+        queries as usize,
+        query_secs,
+        queries as f64 / query_secs.max(f64::MIN_POSITIVE),
+        outcome_digest(&[]),
+    ));
+    ctx.push_records("runs", records);
 
     let text = format!(
         "Fleet soak: {} jobs streamed across {} concurrent clusters in {:.2}s \
@@ -2304,8 +1986,11 @@ fn fleet_chaos(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
         per_cluster
             .into_iter()
             .map(|(cluster, mut outcomes)| {
-                outcomes.sort_by_key(|o| o.id);
-                (cluster, outcomes.len(), outcome_digest(&outcomes))
+                (
+                    cluster,
+                    outcomes.len(),
+                    sorted_outcome_digest(&mut outcomes),
+                )
             })
             .collect::<Vec<_>>()
     };
@@ -2394,34 +2079,34 @@ fn fleet_chaos(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
         } else {
             0.0
         };
-        let record = ResilienceRecord {
-            cluster: cluster.name().to_string(),
-            policy: format!("{policy:?}").to_uppercase(),
-            jobs: *jobs,
-            restarts: h.restarts,
-            fallbacks: h.fallbacks,
-            checkpoint_writes: h.checkpoint_writes,
-            checkpoint_write_ms_mean: ckpt_ms_mean,
-            recovery_ms_total,
-            recovery_ms_mean,
-            digest_match: true,
-            outcome_digest: digest.clone(),
-            wall_secs,
-            parallelism,
-        };
+        let record = json!({
+            "cluster": cluster.name(),
+            "policy": policy.label(),
+            "jobs": *jobs,
+            "restarts": h.restarts,
+            "fallbacks": h.fallbacks,
+            "checkpoint_writes": h.checkpoint_writes,
+            "checkpoint_write_ms_mean": ckpt_ms_mean,
+            "recovery_ms_total": recovery_ms_total,
+            "recovery_ms_mean": recovery_ms_mean,
+            "digest_match": true,
+            "outcome_digest": digest.clone(),
+            "wall_secs": wall_secs,
+            "parallelism": parallelism,
+        });
         table.row(vec![
-            record.cluster.clone(),
-            record.policy.clone(),
-            fmt_count(record.jobs as u64),
-            record.restarts.to_string(),
-            record.fallbacks.to_string(),
-            record.checkpoint_writes.to_string(),
+            cluster.name().to_string(),
+            policy.label().to_string(),
+            fmt_count(*jobs as u64),
+            h.restarts.to_string(),
+            h.fallbacks.to_string(),
+            h.checkpoint_writes.to_string(),
             format!("{ckpt_ms_mean:.3}"),
             format!("{recovery_ms_total:.1}"),
-            record.outcome_digest.clone(),
+            digest.clone(),
         ]);
-        rows_json.push(record.to_json());
-        ctx.resilience.push(record);
+        rows_json.push(record.clone());
+        ctx.push_records("resilience", [record]);
     }
 
     let text = format!(
@@ -2573,8 +2258,7 @@ fn fleet_overload(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
             .shutdown()?
             .pop()
             .ok_or_else(|| HeliosError::invalid_config("fleet_overload", "no hosted cluster"))?;
-        outcomes.sort_by_key(|o| o.id);
-        Ok((outcomes.len(), outcome_digest(&outcomes)))
+        Ok((outcomes.len(), sorted_outcome_digest(&mut outcomes)))
     };
 
     let parallelism = run_parallelism();
@@ -2685,37 +2369,37 @@ fn fleet_overload(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
             ));
         }
 
-        let record = OverloadRecord {
-            cluster: cluster.name().to_string(),
-            policy: format!("{policy:?}").to_uppercase(),
-            jobs,
-            overload_factor: OVERLOAD as f64,
-            shed_jobs: health.shed_jobs,
-            shed_heavy_vc: shed_heavy,
-            shed_light_vcs: shed_light,
-            twin_overflows,
-            status_samples: (ages.len() as u64) + degraded,
-            status_p99_age_cycles: p99,
-            status_degraded: degraded,
-            digest_match: true,
-            outcome_digest: digest,
-            wall_secs,
-            parallelism,
-        };
         table.row(vec![
-            record.cluster.clone(),
-            record.policy.clone(),
-            fmt_count(record.jobs as u64),
-            record.shed_jobs.to_string(),
-            record.shed_heavy_vc.to_string(),
-            record.shed_light_vcs.to_string(),
-            record.twin_overflows.to_string(),
-            record.status_p99_age_cycles.to_string(),
-            record.status_degraded.to_string(),
-            record.outcome_digest.clone(),
+            cluster.name().to_string(),
+            policy.label().to_string(),
+            fmt_count(jobs as u64),
+            health.shed_jobs.to_string(),
+            shed_heavy.to_string(),
+            shed_light.to_string(),
+            twin_overflows.to_string(),
+            p99.to_string(),
+            degraded.to_string(),
+            digest.clone(),
         ]);
-        rows_json.push(record.to_json());
-        ctx.overload.push(record);
+        let record = json!({
+            "cluster": cluster.name(),
+            "policy": policy.label(),
+            "jobs": jobs,
+            "overload_factor": OVERLOAD as f64,
+            "shed_jobs": health.shed_jobs,
+            "shed_heavy_vc": shed_heavy,
+            "shed_light_vcs": shed_light,
+            "twin_overflows": twin_overflows,
+            "status_samples": (ages.len() as u64) + degraded,
+            "status_p99_age_cycles": p99,
+            "status_degraded": degraded,
+            "digest_match": true,
+            "outcome_digest": digest,
+            "wall_secs": wall_secs,
+            "parallelism": parallelism,
+        });
+        rows_json.push(record.clone());
+        ctx.push_records("overload", [record]);
     }
 
     let text = format!(
@@ -2773,7 +2457,9 @@ fn failure_soak(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
         pcfg.horizon_hours,
     );
 
-    type SoakRow = (String, FailurePredictorQuality, Vec<FaultRunRecord>);
+    /// One run's goodput, its table row and its `faults` record.
+    type SoakRun = (f64, Vec<String>, serde_json::Value);
+    type SoakRow = (String, FailurePredictorQuality, Vec<SoakRun>);
     struct FailurePredictorQuality {
         precision: f64,
         recall: f64,
@@ -2823,22 +2509,32 @@ fn failure_soak(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
                 let stats = sim.fault_stats().expect("faults enabled above");
                 let wall_secs = started.elapsed().as_secs_f64();
                 let mut sorted = outcomes;
-                sorted.sort_by_key(|o| o.id);
+                let digest = sorted_outcome_digest(&mut sorted);
                 let g = goodput(&sorted, Some(stats));
-                records.push(FaultRunRecord {
-                    cluster: cluster.clone(),
-                    policy: policy_name,
-                    jobs: jobs.len(),
-                    failures: stats.failures,
-                    killed_jobs: stats.killed_jobs,
-                    goodput: g.ratio(),
-                    lost_gpu_hours: g.lost_gpu_hours,
-                    precision: predictor.precision,
-                    recall: predictor.recall,
-                    wall_secs,
-                    outcome_digest: outcome_digest(&sorted),
-                    parallelism: run_parallelism(),
+                let row = vec![
+                    cluster.clone(),
+                    policy_name.clone(),
+                    fmt_count(stats.failures),
+                    fmt_count(stats.killed_jobs),
+                    format!("{:.0}", g.lost_gpu_hours),
+                    format!("{:.3}%", g.ratio() * 100.0),
+                    digest.clone(),
+                ];
+                let record = json!({
+                    "cluster": cluster.clone(),
+                    "policy": policy_name,
+                    "jobs": jobs.len(),
+                    "failures": stats.failures,
+                    "killed_jobs": stats.killed_jobs,
+                    "goodput": g.ratio(),
+                    "lost_gpu_hours": g.lost_gpu_hours,
+                    "precision": predictor.precision,
+                    "recall": predictor.recall,
+                    "wall_secs": wall_secs,
+                    "outcome_digest": digest,
+                    "parallelism": run_parallelism(),
                 });
+                records.push((g.ratio(), row, record));
             }
             Ok((cluster, quality, records))
         })
@@ -2857,23 +2553,16 @@ fn failure_soak(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
     let mut wins = 0usize;
     let mut pairs = 0usize;
     for row in rows {
-        let (cluster, quality, records) = row?;
-        let (base, drain) = (&records[0], &records[1]);
+        let (cluster, quality, runs) = row?;
+        let [(base_goodput, base_row, base), (drain_goodput, drain_row, drain)]: [SoakRun; 2] =
+            runs.try_into()
+                .expect("one bare and one drained run per cluster");
         pairs += 1;
-        if drain.goodput > base.goodput {
+        if drain_goodput > base_goodput {
             wins += 1;
         }
-        for r in &records {
-            table.row(vec![
-                r.cluster.clone(),
-                r.policy.clone(),
-                fmt_count(r.failures),
-                fmt_count(r.killed_jobs),
-                format!("{:.0}", r.lost_gpu_hours),
-                format!("{:.3}%", r.goodput * 100.0),
-                r.outcome_digest.clone(),
-            ]);
-        }
+        table.row(base_row);
+        table.row(drain_row);
         rows_json.push(json!({
             "cluster": cluster,
             "predictor": json!({
@@ -2882,11 +2571,11 @@ fn failure_soak(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
                 "base_rate": quality.base_rate,
                 "horizon_hours": pcfg.horizon_hours,
             }),
-            "baseline": base.to_json(),
-            "drain": drain.to_json(),
-            "drain_goodput_gain": drain.goodput - base.goodput,
+            "baseline": base.clone(),
+            "drain": drain.clone(),
+            "drain_goodput_gain": drain_goodput - base_goodput,
         }));
-        ctx.faults_perf.extend(records);
+        ctx.push_records("faults", [base, drain]);
     }
 
     let text = format!(
@@ -3017,15 +2706,9 @@ mod tests {
 
     #[test]
     fn policy_lists_are_consistent_with_the_table() {
-        // Every selectable label must resolve to a kernel policy (or QSSF).
+        // Every selectable label must resolve to a registry policy.
         for label in POLICIES {
-            assert!(
-                POLICY_TABLE.iter().any(|(l, _)| *l == label),
-                "{label} missing from POLICY_TABLE"
-            );
-            if label != "QSSF" {
-                assert_eq!(baseline_policy(label).name(), label);
-            }
+            assert_eq!(registry_policy(label).name(), label);
         }
         for label in PAPER_POLICIES {
             assert!(POLICIES.contains(&label), "{label} not a shipped policy");

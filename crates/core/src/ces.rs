@@ -2,7 +2,6 @@
 //! over the occupancy series, driving the prediction-guided DRS control
 //! loop of `helios-energy`.
 
-use crate::framework::{Action, HistoryStore, Service};
 use helios_energy::{run_control_loop, CesConfig, CesOutcome, DrsPolicy, NodeSeries};
 use helios_predict::features::series::{build_series_dataset, features_at, SeriesFeatureConfig};
 use helios_predict::gbdt::{Gbdt, GbdtParams};
@@ -194,60 +193,6 @@ impl CesService {
     /// True once trained.
     pub fn is_trained(&self) -> bool {
         self.model.is_some()
-    }
-}
-
-impl Service for CesService {
-    fn name(&self) -> &str {
-        "ces"
-    }
-
-    fn update_model(&mut self, history: &HistoryStore) -> HeliosResult<()> {
-        let now = history.now();
-        let bin = 600;
-        if now < 30 * bin {
-            return Ok(());
-        }
-        let series = helios_energy::node_series_from_trace(
-            history.trace(),
-            bin,
-            helios_sim::Placement::Consolidate,
-        )?;
-        let train_end = ((now - series.t0) / bin) as usize;
-        if train_end > self.cfg.features.min_index() + self.cfg.features.horizon + 10 {
-            self.train(&series, &history.trace().calendar, train_end)?;
-        }
-        Ok(())
-    }
-
-    fn orchestrate(&mut self, history: &HistoryStore, now: i64) -> HeliosResult<Vec<Action>> {
-        if !self.is_trained() {
-            return Ok(vec![Action::None]);
-        }
-        let bin = 600;
-        let series = helios_energy::node_series_from_trace(
-            history.trace(),
-            bin,
-            helios_sim::Placement::Consolidate,
-        )?;
-        let t = ((now - series.t0) / bin) as usize;
-        if t < self.cfg.features.min_index() || t >= series.len() {
-            return Ok(vec![Action::None]);
-        }
-        let f = self.forecast(&series, &history.trace().calendar, t, t + 1)?[0];
-        let running = series.running[t];
-        Ok(
-            if f + self.cfg.control.buffer_nodes < running - self.cfg.control.xi_future {
-                let sleep = (running - f - self.cfg.control.buffer_nodes).max(0.0) as u32;
-                vec![Action::SleepNodes { nodes: sleep }]
-            } else if f > running {
-                vec![Action::WakeNodes {
-                    nodes: (f - running).ceil() as u32,
-                }]
-            } else {
-                vec![Action::None]
-            },
-        )
     }
 }
 

@@ -1,10 +1,9 @@
 //! # helios-core
 //!
 //! The paper's primary contribution: a prediction-based GPU-cluster
-//! management framework (§4, Fig. 10). A plug-and-play [`Service`] registry
-//! is driven by a Model Update Engine (periodic refits from the history
-//! store) and a Resource Orchestrator (predictions → actions). Two services
-//! reproduce the paper's case studies:
+//! management framework (§4, Fig. 10). Its two services reproduce the
+//! paper's case studies; callers train them on trace history and apply
+//! their predictions directly:
 //!
 //! * [`QssfService`] — Quasi-Shortest-Service-First scheduling
 //!   (Algorithm 1): GBDT + rolling-history GPU-time prediction feeding the
@@ -25,9 +24,7 @@
 //! ```
 
 pub mod ces;
-pub mod framework;
 pub mod qssf;
 
 pub use ces::{CesEvaluation, CesService, CesServiceConfig};
-pub use framework::{Action, Framework, HistoryStore, Service};
 pub use qssf::{noisy_oracle_priorities, QssfConfig, QssfService};

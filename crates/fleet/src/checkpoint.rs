@@ -31,6 +31,7 @@
 //! [`Fleet::recover`](crate::Fleet::recover) is at-least-once, because
 //! delivered counters die with the process.
 
+use helios_sim::digest::fnv64;
 use helios_sim::{ByteReader, ByteWriter, SimJob, SimSnapshot, JOB_WIRE_BYTES};
 use helios_trace::{ClusterId, HeliosError, HeliosResult};
 use std::collections::VecDeque;
@@ -166,16 +167,6 @@ fn le_u32(bytes: &[u8]) -> u32 {
         *dst = *src;
     }
     u32::from_le_bytes(buf)
-}
-
-/// Order-sensitive FNV-1a over a byte slice.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Walk `ring` newest-to-oldest, returning the first generation that

@@ -50,27 +50,6 @@ pub(crate) fn cluster_from(code: u8, r: &ByteReader<'_>) -> HeliosResult<Cluster
     })
 }
 
-/// Stable wire code of a serializable policy, shared with the `HELFLEET`
-/// frame.
-pub(crate) fn policy_code(p: Policy) -> u8 {
-    match p {
-        Policy::Fifo => 0,
-        Policy::Sjf => 1,
-        Policy::Srtf => 2,
-        Policy::Priority => 3,
-    }
-}
-
-pub(crate) fn policy_from(code: u8, r: &ByteReader<'_>) -> HeliosResult<Policy> {
-    Ok(match code {
-        0 => Policy::Fifo,
-        1 => Policy::Sjf,
-        2 => Policy::Srtf,
-        3 => Policy::Priority,
-        other => return Err(r.err(format!("unknown policy code {other}"))),
-    })
-}
-
 /// Watchdog supervision knobs: how long a worker may go without kernel
 /// progress before the supervisor intervenes.
 ///

@@ -3,13 +3,13 @@
 
 use crate::checkpoint::{self, CheckpointConfig};
 use crate::config::{
-    cluster_code, cluster_from, policy_code, policy_from, ClusterConfig, FleetConfig, ShedConfig,
-    WatchdogConfig, DEFAULT_MAX_RESTARTS,
+    cluster_code, cluster_from, ClusterConfig, FleetConfig, ShedConfig, WatchdogConfig,
+    DEFAULT_MAX_RESTARTS,
 };
 use crate::retry::RetryConfig;
 use crate::status::{ClusterStatus, StatusKind, StatusReport, WorkerState};
 use crate::worker::{lock, spawn_worker, Boot, Ctrl, RuntimeOpts, Worker};
-use helios_sim::{validate_job, ByteReader, ByteWriter, JobOutcome, SimJob, SimSnapshot};
+use helios_sim::{validate_job, ByteReader, ByteWriter, JobOutcome, Policy, SimJob, SimSnapshot};
 use helios_trace::{preset, ClusterId, HeliosError, HeliosResult};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, TrySendError};
@@ -534,7 +534,7 @@ impl Fleet {
         for (w, rx) in &waits {
             let blob = self.await_reply(w, rx)??;
             writer.u8(cluster_code(w.cfg.cluster));
-            writer.u8(policy_code(w.cfg.policy));
+            writer.u8(w.cfg.policy.code());
             writer.bytes(&blob);
         }
         Ok(writer.into_bytes())
@@ -567,7 +567,9 @@ impl Fleet {
         let mut workers = Vec::with_capacity(count as usize);
         for _ in 0..count {
             let cluster = cluster_from(r.u8()?, &r)?;
-            let policy = policy_from(r.u8()?, &r)?;
+            let code = r.u8()?;
+            let policy = Policy::from_code(code)
+                .ok_or_else(|| r.err(format!("unknown policy code {code}")))?;
             let blob = r.bytes()?;
             if workers.iter().any(|w: &Worker| w.cfg.cluster == cluster) {
                 return Err(r.err(format!(

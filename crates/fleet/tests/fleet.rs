@@ -3,31 +3,10 @@
 //! whole-fleet snapshot/restore equivalence.
 
 use helios_fleet::{ClusterConfig, Fleet, FleetConfig};
+use helios_sim::digest::sorted_outcome_digest;
 use helios_sim::{jobs_from_trace, JobOutcome, Policy, SimJob, Simulator};
 use helios_trace::{generate, preset, ClusterId, GeneratorConfig, HeliosError};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// FNV-1a over the schedule-relevant outcome fields — the same
-/// fingerprint `BENCH_*.json` trajectory records use.
-fn outcome_digest(outcomes: &[JobOutcome]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for o in outcomes {
-        mix(o.id);
-        mix(o.start as u64);
-        mix(o.end as u64);
-        mix(o.preemptions as u64);
-    }
-    format!("{h:016x}")
-}
-
-fn sorted_digest(mut outcomes: Vec<JobOutcome>) -> (usize, String) {
-    outcomes.sort_by_key(|o| o.id);
-    (outcomes.len(), outcome_digest(&outcomes))
-}
 
 #[test]
 fn concurrent_producers_keep_same_vc_submission_order() {
@@ -265,22 +244,23 @@ fn fleet_snapshot_restore_matches_uninterrupted_run() {
     let rest_b = fleet_b.shutdown().unwrap();
 
     for (i, &(cluster, policy)) in hosted.iter().enumerate() {
-        let full_a: Vec<JobOutcome> = drained_a[i]
+        let mut full_a: Vec<JobOutcome> = drained_a[i]
             .1
             .iter()
             .chain(rest_a[i].1.iter())
             .copied()
             .collect();
-        let full_b: Vec<JobOutcome> = drained_a[i]
+        let mut full_b: Vec<JobOutcome> = drained_a[i]
             .1
             .iter()
             .chain(rest_b[i].1.iter())
             .copied()
             .collect();
-        let (n_a, digest_a) = sorted_digest(full_a);
-        let (n_b, digest_b) = sorted_digest(full_b);
+        let digest_a = sorted_outcome_digest(&mut full_a);
+        let digest_b = sorted_outcome_digest(&mut full_b);
+        let n_a = full_a.len();
         assert_eq!(n_a, batches[i].1.len(), "{cluster:?}: outcomes lost");
-        assert_eq!(n_a, n_b, "{cluster:?}: restored run lost outcomes");
+        assert_eq!(n_a, full_b.len(), "{cluster:?}: restored run lost outcomes");
         assert_eq!(
             digest_a, digest_b,
             "{cluster:?}: restored fleet diverged from the original"
@@ -291,8 +271,9 @@ fn fleet_snapshot_restore_matches_uninterrupted_run() {
         let mut sim = Simulator::new(&preset(cluster), policy.build());
         sim.push_jobs(&batches[i].1).unwrap();
         sim.run_to_completion();
-        let (n_k, digest_k) = sorted_digest(sim.drain_outcomes());
-        assert_eq!(n_k, n_a);
+        let mut kernel = sim.drain_outcomes();
+        let digest_k = sorted_outcome_digest(&mut kernel);
+        assert_eq!(kernel.len(), n_a);
         assert_eq!(
             digest_k, digest_a,
             "{cluster:?}: fleet outcomes diverge from a plain kernel run"

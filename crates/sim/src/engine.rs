@@ -11,8 +11,7 @@
 //! or up to a horizon ([`Simulator::run_until`]), and surrenders finished
 //! jobs through [`Simulator::drain_outcomes`] — callers never need the
 //! whole trace or the whole outcome vector resident. The one-shot
-//! [`simulate`] / [`simulate_with`] entry points are thin convenience
-//! wrappers over it.
+//! [`simulate_with`] entry point is a thin convenience wrapper over it.
 
 use crate::fault::{
     DrainDirective, FaultConfig, FaultSemantics, FaultState, FaultStats, FAULT_EV_FAIL,
@@ -20,41 +19,11 @@ use crate::fault::{
 use crate::heap::MinHeap;
 use crate::job::{JobOutcome, SimJob};
 use crate::observer::{ClusterView, SimEvent, SimObserver};
-use crate::policy::{FifoPolicy, JobView, PriorityPolicy, SchedulingPolicy, SjfPolicy, SrtfPolicy};
+use crate::policy::{JobView, SchedulingPolicy};
 use crate::pool::{Allocation, NodePool, Placement};
 use crate::snapshot::{spec_fingerprint, JobStateSnap, SimSnapshot, VcSnap};
 use helios_trace::{ClusterSpec, HeliosError, HeliosResult};
 use serde::{Deserialize, Serialize};
-
-/// The built-in scheduling policies of the paper's Fig. 11, kept as a
-/// serializable constructor table over the [`SchedulingPolicy`] objects in
-/// [`crate::policy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Policy {
-    /// Arrival order (production default; Table 3 baseline).
-    Fifo,
-    /// Shortest-Job-First on the ground-truth duration (oracle,
-    /// non-preemptive upper bound).
-    Sjf,
-    /// Shortest-Remaining-Time-First with free preemption (oracle,
-    /// preemptive upper bound).
-    Srtf,
-    /// Order by the externally-supplied `SimJob::priority` score
-    /// (QSSF: predicted GPU time; lower runs first).
-    Priority,
-}
-
-impl Policy {
-    /// Construct the policy object implementing this discipline.
-    pub fn build(self) -> Box<dyn SchedulingPolicy> {
-        match self {
-            Policy::Fifo => Box::new(FifoPolicy),
-            Policy::Sjf => Box::new(SjfPolicy),
-            Policy::Srtf => Box::new(SrtfPolicy),
-            Policy::Priority => Box::new(PriorityPolicy::default()),
-        }
-    }
-}
 
 /// Kernel knobs shared by every policy: placement strategy and EASY
 /// backfill (the paper leaves backfill to future work, §4.2.3 — this is
@@ -77,36 +46,7 @@ impl Default for KernelConfig {
     }
 }
 
-/// One-shot simulation configuration over the built-in [`Policy`] table.
-/// Streaming metrics that used to hang off this struct (`occupancy_bin`)
-/// now live in observers — see [`crate::OccupancyObserver`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SimConfig {
-    pub policy: Policy,
-    pub placement: Placement,
-    /// See [`KernelConfig::backfill`].
-    pub backfill: bool,
-}
-
-impl SimConfig {
-    /// Paper-default configuration for a policy.
-    pub fn new(policy: Policy) -> Self {
-        SimConfig {
-            policy,
-            placement: Placement::Consolidate,
-            backfill: false,
-        }
-    }
-
-    fn kernel(&self) -> KernelConfig {
-        KernelConfig {
-            placement: self.placement,
-            backfill: self.backfill,
-        }
-    }
-}
-
-/// Simulation output of the one-shot wrappers.
+/// Simulation output of [`simulate_with`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimResult {
     /// One outcome per input job, in input order.
@@ -1782,17 +1722,11 @@ pub fn simulate_with(
     Ok(SimResult { outcomes })
 }
 
-/// Run one simulation with a built-in [`Policy`] — the legacy one-shot
-/// entry point, now a thin wrapper over [`Simulator`].
-pub fn simulate(spec: &ClusterSpec, jobs: &[SimJob], cfg: &SimConfig) -> HeliosResult<SimResult> {
-    simulate_with(spec, jobs, cfg.policy.build(), &cfg.kernel())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::observer::OccupancyObserver;
-    use crate::policy::TiresiasPolicy;
+    use crate::policy::{FifoPolicy, Policy, SjfPolicy, TiresiasPolicy};
     use helios_trace::{ClusterSpec, GpuModel, VcSpec};
 
     fn spec(nodes: u32) -> ClusterSpec {
@@ -1824,7 +1758,17 @@ mod tests {
     }
 
     fn run(policy: Policy, jobs: &[SimJob]) -> Vec<JobOutcome> {
-        simulate(&spec(1), jobs, &SimConfig::new(policy))
+        simulate_with(&spec(1), jobs, policy.build(), &KernelConfig::default())
+            .unwrap()
+            .outcomes
+    }
+
+    fn run_backfill(jobs: &[SimJob]) -> Vec<JobOutcome> {
+        let cfg = KernelConfig {
+            backfill: true,
+            ..KernelConfig::default()
+        };
+        simulate_with(&spec(1), jobs, Policy::Fifo.build(), &cfg)
             .unwrap()
             .outcomes
     }
@@ -1909,7 +1853,13 @@ mod tests {
                 priority: 1.0,
             },
         ];
-        let r = simulate(&spec(2), &jobs, &SimConfig::new(Policy::Fifo)).unwrap();
+        let r = simulate_with(
+            &spec(2),
+            &jobs,
+            Policy::Fifo.build(),
+            &KernelConfig::default(),
+        )
+        .unwrap();
         assert_eq!(r.outcomes[1].start, 500, "16-GPU job needs 2 free nodes");
     }
 
@@ -1931,9 +1881,7 @@ mod tests {
             job(1, 4, 10, 2_000), // blocked head; shadow = 1000
             job(2, 2, 20, 100),   // fits now and ends (120) before shadow
         ];
-        let mut cfg = SimConfig::new(Policy::Fifo);
-        cfg.backfill = true;
-        let o = simulate(&spec(1), &jobs, &cfg).unwrap().outcomes;
+        let o = run_backfill(&jobs);
         assert_eq!(o[2].start, 20, "backfill should start job 2 immediately");
         // Head must not be delayed by the backfilled job.
         assert_eq!(o[1].start, 1_000);
@@ -1946,9 +1894,7 @@ mod tests {
             job(1, 4, 10, 2_000),  // blocked head; shadow = 1000
             job(2, 2, 20, 50_000), // fits now but would overrun the shadow
         ];
-        let mut cfg = SimConfig::new(Policy::Fifo);
-        cfg.backfill = true;
-        let o = simulate(&spec(1), &jobs, &cfg).unwrap().outcomes;
+        let o = run_backfill(&jobs);
         assert_eq!(o[1].start, 1_000);
         assert!(o[2].start >= 1_000, "long job must not backfill");
     }
@@ -2122,7 +2068,7 @@ mod tests {
         let mut sorted = jobs.clone();
         sorted.sort_by_key(|j| j.submit);
         for policy in [Policy::Fifo, Policy::Sjf, Policy::Srtf, Policy::Priority] {
-            let o = simulate(&spec(3), &sorted, &SimConfig::new(policy))
+            let o = simulate_with(&spec(3), &sorted, policy.build(), &KernelConfig::default())
                 .unwrap()
                 .outcomes;
             assert_eq!(o.len(), sorted.len());

@@ -10,23 +10,25 @@
 //! through a [`SchedulingPolicy`] trait object (the four Fig. 11 policies
 //! — FIFO, oracle SJF, oracle preemptive SRTF, externally-scored Priority
 //! for QSSF — ship as policy objects, plus a Tiresias-style discretized
-//! least-attained-service policy), metrics stream through [`SimObserver`]s
+//! least-attained-service policy, all listed once in [`POLICY_REGISTRY`]),
+//! metrics stream through [`SimObserver`]s
 //! (occupancy, queue length, per-VC utilization), and the [`Simulator`]
 //! kernel is incremental: push jobs online, advance to a horizon, drain
 //! outcomes.
 //!
 //! ```
-//! use helios_sim::{simulate, SimConfig, Policy, SimJob};
+//! use helios_sim::{simulate_with, KernelConfig, Policy, SimJob};
 //! use helios_trace::venus;
 //!
 //! let spec = venus();
+//! let kernel = KernelConfig::default();
 //! let jobs = vec![SimJob { id: 0, vc: 0, gpus: 8, submit: 0, duration: 60, priority: 1.0 }];
-//! let result = simulate(&spec, &jobs, &SimConfig::new(Policy::Fifo))?;
+//! let result = simulate_with(&spec, &jobs, Policy::Fifo.build(), &kernel)?;
 //! assert_eq!(result.outcomes[0].start, 0);
 //!
 //! // Unplaceable jobs are rejected up front instead of hanging the queue.
 //! let giant = vec![SimJob { id: 1, vc: 0, gpus: u32::MAX, submit: 0, duration: 60, priority: 1.0 }];
-//! assert!(simulate(&spec, &giant, &SimConfig::new(Policy::Fifo)).is_err());
+//! assert!(simulate_with(&spec, &giant, Policy::Fifo.build(), &kernel).is_err());
 //! # Ok::<(), helios_trace::HeliosError>(())
 //! ```
 //!
@@ -46,6 +48,7 @@
 //! # Ok::<(), helios_trace::HeliosError>(())
 //! ```
 
+pub mod digest;
 pub mod engine;
 pub mod fault;
 mod heap;
@@ -56,9 +59,7 @@ pub mod policy;
 pub mod pool;
 pub mod snapshot;
 
-pub use engine::{
-    simulate, simulate_with, validate_job, KernelConfig, Policy, SimConfig, SimResult, Simulator,
-};
+pub use engine::{simulate_with, validate_job, KernelConfig, SimResult, Simulator};
 pub use fault::{
     DrainDirective, FaultConfig, FaultSemantics, FaultSnap, FaultState, FaultStats,
     FAULT_CODEC_VERSION, NODE_FEATURES, NODE_FEATURE_NAMES,
@@ -73,7 +74,8 @@ pub use observer::{
     VcUtilizationObserver,
 };
 pub use policy::{
-    FifoPolicy, JobView, PriorityPolicy, SchedulingPolicy, SjfPolicy, SrtfPolicy, TiresiasPolicy,
+    FifoPolicy, JobView, Policy, PolicyEntry, PriorityPolicy, SchedulingPolicy, SjfPolicy,
+    SrtfPolicy, TiresiasPolicy, POLICY_REGISTRY,
 };
 pub use pool::{Allocation, NodePool, Placement};
 pub use snapshot::{

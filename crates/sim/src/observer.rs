@@ -225,8 +225,7 @@ impl<T: SimObserver + ?Sized> SimObserver for &mut T {
 }
 
 /// Piecewise-exact busy-node series, binned at a fixed width — the signal
-/// behind the CES experiments (Figs. 14–15). Replaces the old
-/// `SimConfig::occupancy_bin` engine knob.
+/// behind the CES experiments (Figs. 14–15).
 #[derive(Debug, Clone)]
 pub struct OccupancyObserver {
     bin: i64,

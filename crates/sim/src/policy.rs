@@ -5,8 +5,9 @@
 //! (least-attained-service, energy-aware, fairness, ...) plug in without
 //! touching the event loop. The four historical policies of the paper's
 //! Fig. 11 (FIFO / SJF / SRTF / Priority) are themselves implemented as
-//! policy objects here; the legacy [`Policy`](crate::Policy) enum is just a
-//! constructor table over them.
+//! policy objects here. [`POLICY_REGISTRY`] is the one table of built-in
+//! disciplines: label, constructor and — for the four serializable
+//! [`Policy`] variants — the stable wire code.
 //!
 //! ```
 //! use helios_sim::{simulate_with, KernelConfig, SimJob, SjfPolicy};
@@ -21,6 +22,7 @@
 use crate::fault::DrainDirective;
 use crate::job::SimJob;
 use crate::observer::ClusterView;
+use serde::{Deserialize, Serialize};
 
 /// What a policy may inspect about one job when ordering a queue: the
 /// static description plus the kernel's dynamic execution state.
@@ -362,6 +364,121 @@ impl SchedulingPolicy for TiresiasPolicy {
         (rank, Some(horizon))
     }
 }
+
+/// The built-in disciplines a fleet can host and a snapshot can name:
+/// the paper's Fig. 11 policies, each with a stable wire code in
+/// [`POLICY_REGISTRY`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Policy {
+    /// [`FifoPolicy`].
+    Fifo,
+    /// [`SjfPolicy`].
+    Sjf,
+    /// [`SrtfPolicy`].
+    Srtf,
+    /// [`PriorityPolicy`] with its default label.
+    Priority,
+}
+
+impl Policy {
+    fn entry(self) -> &'static PolicyEntry {
+        match self {
+            Policy::Fifo => &PolicyEntry::FIFO,
+            Policy::Sjf => &PolicyEntry::SJF,
+            Policy::Srtf => &PolicyEntry::SRTF,
+            Policy::Priority => &PolicyEntry::PRIORITY,
+        }
+    }
+
+    /// Display label, equal to the built policy's `name()`.
+    pub fn label(self) -> &'static str {
+        self.entry().label
+    }
+
+    /// Stable wire code, as stored in `HELFLEET` fleet snapshot frames.
+    pub fn code(self) -> u8 {
+        let (_, code) = self.entry().wire.expect("every Policy row has a wire code");
+        code
+    }
+
+    /// The policy with wire code `code`, if any.
+    pub fn from_code(code: u8) -> Option<Policy> {
+        POLICY_REGISTRY
+            .iter()
+            .find_map(|e| e.wire.filter(|&(_, c)| c == code))
+            .map(|(p, _)| p)
+    }
+
+    /// Construct the policy object implementing this discipline.
+    pub fn build(self) -> Box<dyn SchedulingPolicy> {
+        (self.entry().build)()
+    }
+}
+
+/// One row of [`POLICY_REGISTRY`].
+#[derive(Debug, Clone, Copy)]
+pub struct PolicyEntry {
+    /// Display label, equal to the built policy's `name()`.
+    pub label: &'static str,
+    /// The serializable variant and its wire code; `None` for policies a
+    /// fleet cannot host.
+    pub wire: Option<(Policy, u8)>,
+    /// Construct a fresh policy object.
+    pub build: fn() -> Box<dyn SchedulingPolicy>,
+}
+
+impl PolicyEntry {
+    pub const FIFO: PolicyEntry = PolicyEntry {
+        label: "FIFO",
+        wire: Some((Policy::Fifo, 0)),
+        build: || Box::new(FifoPolicy),
+    };
+    pub const SJF: PolicyEntry = PolicyEntry {
+        label: "SJF",
+        wire: Some((Policy::Sjf, 1)),
+        build: || Box::new(SjfPolicy),
+    };
+    /// QSSF: [`PriorityPolicy`] over predicted GPU time.
+    pub const QSSF: PolicyEntry = PolicyEntry {
+        label: "QSSF",
+        wire: None,
+        build: || Box::new(PriorityPolicy::named("QSSF")),
+    };
+    pub const SRTF: PolicyEntry = PolicyEntry {
+        label: "SRTF",
+        wire: Some((Policy::Srtf, 2)),
+        build: || Box::new(SrtfPolicy),
+    };
+    pub const TIRESIAS: PolicyEntry = PolicyEntry {
+        label: "TIRESIAS",
+        wire: None,
+        build: || Box::new(TiresiasPolicy::default()),
+    };
+    pub const PRIORITY: PolicyEntry = PolicyEntry {
+        label: "Priority",
+        wire: Some((Policy::Priority, 3)),
+        build: || Box::new(PriorityPolicy::default()),
+    };
+
+    /// The registry row labelled `label` (case-insensitive).
+    pub fn find(label: &str) -> Option<&'static PolicyEntry> {
+        POLICY_REGISTRY
+            .iter()
+            .find(|e| e.label.eq_ignore_ascii_case(label))
+    }
+}
+
+/// Every built-in discipline, in the scheduler experiments' column order
+/// (the paper's Fig. 11 policies, Tiresias, then the bare priority
+/// policy QSSF specializes).
+pub const POLICY_REGISTRY: [PolicyEntry; 6] = [
+    PolicyEntry::FIFO,
+    PolicyEntry::SJF,
+    PolicyEntry::QSSF,
+    PolicyEntry::SRTF,
+    PolicyEntry::TIRESIAS,
+    PolicyEntry::PRIORITY,
+];
 
 #[cfg(test)]
 mod tests {

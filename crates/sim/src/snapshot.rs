@@ -123,24 +123,18 @@ pub struct VcSnap {
 /// depends on: cluster name, node counts, and the VC layout. Restore
 /// validates it so a snapshot cannot be applied to a different cluster.
 pub fn spec_fingerprint(spec: &ClusterSpec) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for &b in spec.id.name().as_bytes() {
-        mix(b as u64);
-    }
-    mix(spec.nodes as u64);
-    mix(spec.gpus_per_node as u64);
-    mix(spec.vcs.len() as u64);
+    let name = spec.id.name().as_bytes();
+    let mut words: Vec<u64> = name.iter().map(|&b| b as u64).collect();
+    words.extend([
+        spec.nodes as u64,
+        spec.gpus_per_node as u64,
+        spec.vcs.len() as u64,
+    ]);
     for vc in &spec.vcs {
-        mix(vc.id as u64);
-        mix(vc.nodes as u64);
+        words.extend([vc.id as u64, vc.nodes as u64]);
     }
-    h
+    let bytes: Vec<u8> = words.into_iter().flat_map(u64::to_le_bytes).collect();
+    crate::digest::fnv64(&bytes)
 }
 
 /// Little-endian byte-stream writer for snapshot payloads.

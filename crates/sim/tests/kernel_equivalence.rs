@@ -1,13 +1,13 @@
 //! Property tests for the pluggable kernel: the incremental
 //! `Simulator` + policy-object path must produce byte-identical
-//! `JobOutcome` vectors to the one-shot `simulate()` wrapper, for every
+//! `JobOutcome` vectors to the one-shot `simulate_with()` wrapper, for every
 //! built-in policy, across random workloads (seeded ChaCha), batch-fed
 //! arrivals, and two cluster presets. Plus: observer event-stream
 //! ordering invariants.
 
 use helios_sim::{
-    simulate, simulate_with, ClusterView, JobOutcome, KernelConfig, Policy, SimConfig, SimEvent,
-    SimJob, SimObserver, Simulator,
+    simulate_with, ClusterView, JobOutcome, KernelConfig, Policy, SimEvent, SimJob, SimObserver,
+    Simulator, POLICY_REGISTRY,
 };
 use helios_trace::{saturn, venus, ClusterSpec};
 use rand::{Rng, SeedableRng};
@@ -49,9 +49,10 @@ fn incremental_batches_match_one_shot_across_seeds_policies_presets() {
             let mut rng = ChaCha12Rng::seed_from_u64(seed);
             let jobs = random_jobs(&preset, 400, &mut rng);
             for policy in [Policy::Fifo, Policy::Sjf, Policy::Srtf] {
-                let one_shot = simulate(&preset, &jobs, &SimConfig::new(policy))
-                    .expect("valid workload")
-                    .outcomes;
+                let one_shot =
+                    simulate_with(&preset, &jobs, policy.build(), &KernelConfig::default())
+                        .expect("valid workload")
+                        .outcomes;
                 assert_eq!(one_shot.len(), jobs.len());
 
                 // Feed arrivals in 5 time-ordered batches, advancing the
@@ -85,8 +86,8 @@ fn incremental_batches_match_one_shot_across_seeds_policies_presets() {
 
 #[test]
 fn policy_object_path_is_identical_to_enum_path() {
-    // simulate() is defined over Policy::build(); drive simulate_with
-    // directly with explicitly-constructed policy objects and compare.
+    // Policy::build() reads the registry; drive simulate_with with
+    // explicitly-constructed policy objects too and compare.
     use helios_sim::{FifoPolicy, PriorityPolicy, SjfPolicy, SrtfPolicy};
     let spec = venus();
     let mut rng = ChaCha12Rng::seed_from_u64(99);
@@ -97,11 +98,27 @@ fn policy_object_path_is_identical_to_enum_path() {
         (Policy::Srtf, Box::new(SrtfPolicy)),
         (Policy::Priority, Box::new(PriorityPolicy::default())),
     ];
-    for (policy, object) in cases {
-        let via_enum = simulate(&spec, &jobs, &SimConfig::new(policy)).unwrap();
-        let via_object = simulate_with(&spec, &jobs, object, &KernelConfig::default()).unwrap();
+    let kernel = KernelConfig::default();
+    for (code, (policy, object)) in (0u8..).zip(cases) {
+        let via_enum = simulate_with(&spec, &jobs, policy.build(), &kernel).unwrap();
+        let via_object = simulate_with(&spec, &jobs, object, &kernel).unwrap();
         assert_eq!(via_enum.outcomes, via_object.outcomes, "{policy:?}");
+        // Registry round trip: label -> code -> Policy, codes pinned 0-3.
+        let entry = helios_sim::PolicyEntry::find(policy.label()).unwrap();
+        assert_eq!(entry.wire, Some((policy, code)), "{policy:?}");
+        assert_eq!(Policy::from_code(code), Some(policy));
     }
+    assert_eq!(Policy::from_code(4), None);
+    let labels: Vec<&str> = POLICY_REGISTRY.iter().map(|e| e.label).collect();
+    let names: Vec<String> = POLICY_REGISTRY
+        .iter()
+        .map(|e| (e.build)().name().to_string())
+        .collect();
+    assert_eq!(names, labels);
+    assert_eq!(
+        labels,
+        ["FIFO", "SJF", "QSSF", "SRTF", "TIRESIAS", "Priority"]
+    );
 }
 
 #[test]

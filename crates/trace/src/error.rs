@@ -32,13 +32,6 @@ pub enum HeliosError {
         /// Where / why, e.g. the requested window.
         detail: String,
     },
-    /// The history cursor was asked to move backwards in time.
-    HistoryRegression {
-        /// The cursor's current position (seconds).
-        current: i64,
-        /// The requested (earlier) position.
-        requested: i64,
-    },
     /// A job handed to the simulator can never be placed on the cluster.
     InvalidJob {
         /// The job's id.
@@ -211,10 +204,6 @@ impl fmt::Display for HeliosError {
             HeliosError::EmptyInput { what, detail } => {
                 write!(f, "empty input: no {what} ({detail})")
             }
-            HeliosError::HistoryRegression { current, requested } => write!(
-                f,
-                "history cursor cannot move backwards (now at {current}s, requested {requested}s)"
-            ),
             HeliosError::InvalidJob { job_id, reason } => {
                 write!(f, "job {job_id} can never be scheduled: {reason}")
             }
@@ -300,12 +289,9 @@ mod tests {
     fn display_carries_context() {
         let e = HeliosError::invalid_config("scale", "must be in (0, 1], got 0");
         assert!(e.to_string().contains("scale"));
-        let e = HeliosError::HistoryRegression {
-            current: 100,
-            requested: 50,
-        };
-        assert!(e.to_string().contains("100"));
-        assert!(e.to_string().contains("50"));
+        let e = HeliosError::empty_input("jobs", "window [100, 50)");
+        assert!(e.to_string().contains("jobs"));
+        assert!(e.to_string().contains("[100, 50)"));
     }
 
     #[test]

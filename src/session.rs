@@ -44,9 +44,8 @@ use helios_faults::{
     PredictorConfig,
 };
 use helios_sim::{
-    jobs_from_trace, schedule_stats, FaultConfig, FaultStats, FifoPolicy, JobOutcome, KernelConfig,
-    Placement, PriorityPolicy, ScheduleStats, SchedulingPolicy, SimObserver, Simulator, SjfPolicy,
-    SrtfPolicy, TiresiasPolicy,
+    jobs_from_trace, schedule_stats, FaultConfig, FaultStats, JobOutcome, KernelConfig, Placement,
+    PolicyEntry, ScheduleStats, SchedulingPolicy, SimObserver, Simulator,
 };
 use helios_trace::{
     generate, profile_for, ClusterId, GeneratorConfig, Trace, WorkloadProfile, SECS_PER_DAY,
@@ -146,27 +145,29 @@ pub enum SchedulePolicy {
 }
 
 impl SchedulePolicy {
+    /// The `helios-sim` registry row of a kernel built-in; `None` for
+    /// the energy-aware policy, which lives in `helios-energy`.
+    fn sim_entry(self) -> Option<&'static PolicyEntry> {
+        match self {
+            SchedulePolicy::Fifo => Some(&PolicyEntry::FIFO),
+            SchedulePolicy::Sjf => Some(&PolicyEntry::SJF),
+            SchedulePolicy::Srtf => Some(&PolicyEntry::SRTF),
+            SchedulePolicy::Qssf => Some(&PolicyEntry::QSSF),
+            SchedulePolicy::Tiresias => Some(&PolicyEntry::TIRESIAS),
+            SchedulePolicy::EnergyAware => None,
+        }
+    }
+
     /// Display label ("FIFO", "QSSF", ...).
     pub fn label(self) -> &'static str {
-        match self {
-            SchedulePolicy::Fifo => "FIFO",
-            SchedulePolicy::Sjf => "SJF",
-            SchedulePolicy::Srtf => "SRTF",
-            SchedulePolicy::Qssf => "QSSF",
-            SchedulePolicy::Tiresias => "TIRESIAS",
-            SchedulePolicy::EnergyAware => "ENERGY",
-        }
+        self.sim_entry().map_or("ENERGY", |e| e.label)
     }
 
     /// Construct the policy object implementing this discipline.
     pub fn build(self) -> Box<dyn SchedulingPolicy> {
-        match self {
-            SchedulePolicy::Fifo => Box::new(FifoPolicy),
-            SchedulePolicy::Sjf => Box::new(SjfPolicy),
-            SchedulePolicy::Srtf => Box::new(SrtfPolicy),
-            SchedulePolicy::Qssf => Box::new(PriorityPolicy::named("QSSF")),
-            SchedulePolicy::Tiresias => Box::new(TiresiasPolicy::default()),
-            SchedulePolicy::EnergyAware => Box::new(EnergyAwarePolicy::default()),
+        match self.sim_entry() {
+            Some(e) => (e.build)(),
+            None => Box::new(EnergyAwarePolicy::default()),
         }
     }
 }

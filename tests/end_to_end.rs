@@ -3,8 +3,18 @@
 
 use helios_core::{CesService, CesServiceConfig, QssfConfig, QssfService};
 use helios_energy::node_series_from_trace;
-use helios_sim::{jobs_from_trace, schedule_stats, simulate, Placement, Policy, SimConfig};
+use helios_sim::{
+    jobs_from_trace, schedule_stats, simulate_with, JobOutcome, KernelConfig, Placement, Policy,
+    SimJob,
+};
 use helios_trace::{generate, venus_profile, GeneratorConfig, Trace, SECS_PER_DAY};
+
+/// One-shot run of a built-in policy on the paper-default kernel.
+fn outcomes(t: &Trace, jobs: &[SimJob], policy: Policy) -> Vec<JobOutcome> {
+    simulate_with(&t.spec, jobs, policy.build(), &KernelConfig::default())
+        .unwrap()
+        .outcomes
+}
 
 fn trace() -> Trace {
     generate(
@@ -23,30 +33,14 @@ fn qssf_beats_fifo_and_tracks_sjf() {
     let t = trace();
     let (lo, hi) = t.calendar.month_range(5);
     let base = jobs_from_trace(&t, lo, hi);
-    let fifo = schedule_stats(
-        &simulate(&t.spec, &base, &SimConfig::new(Policy::Fifo))
-            .unwrap()
-            .outcomes,
-    );
-    let sjf = schedule_stats(
-        &simulate(&t.spec, &base, &SimConfig::new(Policy::Sjf))
-            .unwrap()
-            .outcomes,
-    );
-    let srtf = schedule_stats(
-        &simulate(&t.spec, &base, &SimConfig::new(Policy::Srtf))
-            .unwrap()
-            .outcomes,
-    );
+    let fifo = schedule_stats(&outcomes(&t, &base, Policy::Fifo));
+    let sjf = schedule_stats(&outcomes(&t, &base, Policy::Sjf));
+    let srtf = schedule_stats(&outcomes(&t, &base, Policy::Srtf));
 
     let mut svc = QssfService::new(QssfConfig::default());
     svc.train(&t, 0, lo).unwrap();
     let scored = svc.assign_priorities(&t, lo, hi);
-    let qssf = schedule_stats(
-        &simulate(&t.spec, &scored, &SimConfig::new(Policy::Priority))
-            .unwrap()
-            .outcomes,
-    );
+    let qssf = schedule_stats(&outcomes(&t, &scored, Policy::Priority));
 
     assert!(
         qssf.avg_jct < 0.6 * fifo.avg_jct,
@@ -77,15 +71,11 @@ fn short_jobs_gain_most_but_long_jobs_still_gain() {
     let t = trace();
     let (lo, hi) = t.calendar.month_range(5);
     let base = jobs_from_trace(&t, lo, hi);
-    let fifo = simulate(&t.spec, &base, &SimConfig::new(Policy::Fifo))
-        .unwrap()
-        .outcomes;
+    let fifo = outcomes(&t, &base, Policy::Fifo);
     let mut svc = QssfService::new(QssfConfig::default());
     svc.train(&t, 0, lo).unwrap();
     let scored = svc.assign_priorities(&t, lo, hi);
-    let qssf = simulate(&t.spec, &scored, &SimConfig::new(Policy::Priority))
-        .unwrap()
-        .outcomes;
+    let qssf = outcomes(&t, &scored, Policy::Priority);
     let ratios = helios_sim::group_delay_ratios(&fifo, &qssf);
     assert!(
         ratios[0] > ratios[2],
@@ -148,27 +138,4 @@ fn trace_roundtrips_through_csv() {
         assert_eq!(a.status, b.status);
         assert_eq!(t.names.base(a.name), names.base(b.name));
     }
-}
-
-#[test]
-fn framework_runs_both_services() {
-    use helios_core::{Framework, Service};
-    use std::sync::Arc;
-    let t = Arc::new(trace());
-    let mut fw = Framework::new(t.clone(), 7 * SECS_PER_DAY).unwrap();
-    fw.register(Box::new(QssfService::new(QssfConfig::default())));
-    fw.register(Box::new(CesService::new(CesServiceConfig::default())));
-    assert_eq!(
-        fw.service_names(),
-        vec!["qssf".to_string(), "ces".to_string()]
-    );
-    // Tick through two months weekly; both services must produce actions
-    // without panicking.
-    let mut total_actions = 0;
-    for week in 4..9 {
-        let actions = fw.tick(week * 7 * SECS_PER_DAY).unwrap();
-        total_actions += actions.iter().map(|a| a.len()).sum::<usize>();
-    }
-    assert!(total_actions > 0);
-    let _ = QssfService::new(QssfConfig::default()).name();
 }

@@ -183,41 +183,8 @@ fn empty_job_set_is_an_empty_input_error() {
 }
 
 #[test]
-fn backwards_history_cursor_is_a_regression_error() {
-    use helios::core::{Framework, HistoryStore};
-    use std::sync::Arc;
-    let trace = Arc::new(
-        helios::trace::generate(
-            &helios::trace::venus_profile(),
-            &GeneratorConfig {
-                scale: 0.02,
-                seed: 3,
-            },
-        )
-        .unwrap(),
-    );
-    let mut store = HistoryStore::new(trace.clone());
-    store.advance_to(500).unwrap();
-    assert_eq!(
-        store.advance_to(400),
-        Err(HeliosError::HistoryRegression {
-            current: 500,
-            requested: 400
-        })
-    );
-
-    // The same guarantee holds through the Framework clock.
-    let mut fw = Framework::new(trace, 3_600).unwrap();
-    fw.tick(1_000).unwrap();
-    assert!(matches!(
-        fw.tick(999),
-        Err(HeliosError::HistoryRegression { .. })
-    ));
-}
-
-#[test]
 fn unschedulable_job_is_an_invalid_job_error() {
-    use helios::sim::{simulate, SimConfig, SimJob};
+    use helios::sim::{simulate_with, KernelConfig, SimJob};
     let spec = helios::trace::venus();
     let giant = SimJob {
         id: 7,
@@ -227,7 +194,8 @@ fn unschedulable_job_is_an_invalid_job_error() {
         duration: 10,
         priority: 1.0,
     };
-    let err = simulate(&spec, &[giant], &SimConfig::new(Policy::Fifo)).unwrap_err();
+    let kernel = KernelConfig::default();
+    let err = simulate_with(&spec, &[giant], Policy::Fifo.build(), &kernel).unwrap_err();
     assert!(
         matches!(err, HeliosError::InvalidJob { job_id: 7, .. }),
         "{err}"
@@ -241,7 +209,7 @@ fn unschedulable_job_is_an_invalid_job_error() {
         duration: 10,
         priority: 1.0,
     };
-    assert!(simulate(&spec, &[bad_vc], &SimConfig::new(Policy::Fifo)).is_err());
+    assert!(simulate_with(&spec, &[bad_vc], Policy::Fifo.build(), &kernel).is_err());
 }
 
 #[test]

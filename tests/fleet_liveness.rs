@@ -11,32 +11,11 @@ use helios_fleet::{
     ChaosConfig, CheckpointConfig, ClusterConfig, Fleet, FleetConfig, RetryConfig, ShedConfig,
     StatusKind, WatchdogConfig, WorkerState,
 };
+use helios_sim::digest::sorted_outcome_digest;
 use helios_sim::{JobOutcome, Policy, SimJob};
 use helios_trace::{ClusterId, HeliosError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
-
-/// FNV-1a over the schedule-relevant outcome fields — the same
-/// fingerprint `BENCH_*.json` trajectory records use.
-fn outcome_digest(outcomes: &[JobOutcome]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for o in outcomes {
-        mix(o.id);
-        mix(o.start as u64);
-        mix(o.end as u64);
-        mix(o.preemptions as u64);
-    }
-    format!("{h:016x}")
-}
-
-fn sorted_digest(mut outcomes: Vec<JobOutcome>) -> (usize, String) {
-    outcomes.sort_by_key(|o| o.id);
-    (outcomes.len(), outcome_digest(&outcomes))
-}
 
 /// The deterministic synthetic job for slot `k` of wave `w` — the same
 /// stream every fleet in a comparison pair sees.
@@ -130,8 +109,8 @@ fn hang_chaos_recovery_digests_match_uninterrupted_run() {
                 "seed {seed} {cluster:?}: worker should be healthy after recovery"
             );
             assert_eq!(
-                sorted_digest(recovered),
-                sorted_digest(baseline),
+                sorted_outcome_digest(&mut recovered),
+                sorted_outcome_digest(&mut baseline),
                 "seed {seed} {cluster:?}: watchdog recovery changed the outcome stream"
             );
         }
@@ -305,8 +284,8 @@ fn admission_panic_between_drain_and_journal_readmits_exactly_once() {
             health.restarts >= 1,
             "{cluster:?}: the admission-window panic never fired"
         );
-        let (jobs, digest) = sorted_digest(recovered);
-        let (base_jobs, base_digest) = sorted_digest(baseline);
+        let (jobs, digest) = (recovered.len(), sorted_outcome_digest(&mut recovered));
+        let (base_jobs, base_digest) = (baseline.len(), sorted_outcome_digest(&mut baseline));
         assert_eq!(
             jobs,
             (WAVES * PER_WAVE) as usize,
@@ -470,8 +449,8 @@ fn injection_off_fleet_reproduces_committed_bench_digests() {
         }
         fleet.advance((wave as i64 + 1) * WAVE_SECS).unwrap();
     }
-    for (i, (cluster, outcomes)) in fleet.shutdown().unwrap().into_iter().enumerate() {
-        let (jobs, digest) = sorted_digest(outcomes);
+    for (i, (cluster, mut outcomes)) in fleet.shutdown().unwrap().into_iter().enumerate() {
+        let (jobs, digest) = (outcomes.len(), sorted_outcome_digest(&mut outcomes));
         assert_eq!(jobs, WAVES * JOBS_PER_CLUSTER_PER_WAVE);
         assert_eq!(cluster.name(), pinned[i].0, "cluster order drifted");
         assert_eq!(

@@ -9,32 +9,10 @@
 use helios_fleet::{
     ChaosConfig, CheckpointConfig, ClusterConfig, Fleet, FleetConfig, RetryConfig, WorkerState,
 };
+use helios_sim::digest::{outcome_digest, sorted_outcome_digest};
 use helios_sim::{ByteWriter, JobOutcome, Policy, SimJob, SimSnapshot, Simulator};
 use helios_trace::{preset, ClusterId, HeliosError};
 use std::time::Duration;
-
-/// FNV-1a over the schedule-relevant outcome fields — the same
-/// fingerprint `BENCH_*.json` trajectory records use, so "digests match"
-/// here means exactly what bench-record equality means.
-fn outcome_digest(outcomes: &[JobOutcome]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for o in outcomes {
-        mix(o.id);
-        mix(o.start as u64);
-        mix(o.end as u64);
-        mix(o.preemptions as u64);
-    }
-    format!("{h:016x}")
-}
-
-fn sorted_digest(mut outcomes: Vec<JobOutcome>) -> (usize, String) {
-    outcomes.sort_by_key(|o| o.id);
-    (outcomes.len(), outcome_digest(&outcomes))
-}
 
 /// The deterministic synthetic job for slot `k` of wave `w` — the same
 /// stream every fleet in a comparison pair sees.
@@ -122,8 +100,8 @@ fn chaos_recovery_digests_match_uninterrupted_run() {
                 "seed {seed} {cluster:?}: no recovery fell back past a corrupt generation"
             );
             assert_eq!(health.state, WorkerState::Healthy);
-            let (n_base, d_base) = sorted_digest(baseline);
-            let (n_rec, d_rec) = sorted_digest(recovered);
+            let (n_base, d_base) = (baseline.len(), sorted_outcome_digest(&mut baseline));
+            let (n_rec, d_rec) = (recovered.len(), sorted_outcome_digest(&mut recovered));
             assert_eq!(n_base, (WAVES * PER_WAVE) as usize);
             assert_eq!(
                 n_rec, n_base,
@@ -167,7 +145,10 @@ fn corrupt_newest_generation_falls_back_to_previous() {
         health.checkpoint_writes >= 4,
         "launch + periodic + re-baseline generations"
     );
-    assert_eq!(sorted_digest(recovered), sorted_digest(baseline));
+    assert_eq!(
+        sorted_outcome_digest(&mut recovered),
+        sorted_outcome_digest(&mut baseline)
+    );
 }
 
 #[test]
@@ -394,7 +375,7 @@ fn fleet_recovers_from_disk_ring_after_process_death() {
     let calm = Fleet::launch(&single_cluster_config(cluster, Policy::Fifo)).unwrap();
     let mut baseline = run_streamed(&calm, cluster, 0..4, PER_WAVE);
     baseline.extend(calm.shutdown().unwrap().pop().unwrap().1);
-    let (n_base, d_base) = sorted_digest(baseline);
+    let (n_base, d_base) = (baseline.len(), sorted_outcome_digest(&mut baseline));
     assert_eq!(n_base, 4 * PER_WAVE as usize);
 
     // First incarnation: two waves, drained, then dropped without

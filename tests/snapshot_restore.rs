@@ -4,29 +4,11 @@
 //! `(id, start, end, preemptions)` as the bench trajectory records.
 
 use helios_energy::EnergyAwarePolicy;
+use helios_sim::digest::outcome_digest;
 use helios_sim::{
-    jobs_from_trace, JobOutcome, Policy, SchedulingPolicy, SimSnapshot, Simulator, SrtfPolicy,
-    TiresiasPolicy,
+    jobs_from_trace, Policy, SchedulingPolicy, SimSnapshot, Simulator, SrtfPolicy, TiresiasPolicy,
 };
 use helios_trace::{generate, preset, profile_for, ClusterId, GeneratorConfig, HeliosError};
-
-/// FNV-1a over the schedule-relevant outcome fields — the same
-/// fingerprint the bench trajectory records use, so "digests match" here
-/// means exactly what `BENCH_*.json` equality means.
-fn outcome_digest(outcomes: &[JobOutcome]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for o in outcomes {
-        mix(o.id);
-        mix(o.start as u64);
-        mix(o.end as u64);
-        mix(o.preemptions as u64);
-    }
-    format!("{h:016x}")
-}
 
 /// Uninterrupted baseline vs. checkpoint-at-`cut`, serialize, drop,
 /// restore-from-bytes, resume. Returns (baseline digest, resumed digest).
