@@ -1,9 +1,11 @@
 //! GBDT training/inference (the QSSF P_M estimator, Table 3 substrate).
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use helios_predict::gbdt::{Gbdt, GbdtParams};
-use helios_predict::text::levenshtein;
+use helios_predict::text::{levenshtein, NameBuckets};
+use helios_trace::{generate, profile_for, ClusterId, GeneratorConfig};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
+use std::collections::HashSet;
 
 fn bench(c: &mut Criterion) {
     let mut rng = ChaCha12Rng::seed_from_u64(5);
@@ -50,6 +52,29 @@ fn bench(c: &mut Criterion) {
                 black_box("train_resnet50_imagenet_lr3"),
                 black_box("train_resnet101_imagenet_lr5"),
             )
+        })
+    });
+    // QSSF name bucketing from scratch over the templates of a Saturn
+    // scale-0.1 trace (1,477 templates into 481 buckets at seed 2020).
+    let cfg = GeneratorConfig {
+        scale: 0.1,
+        seed: 2020,
+    };
+    let trace = generate(&profile_for(ClusterId::Saturn), &cfg).expect("Saturn generates");
+    let (train_end, _) = trace.calendar.month_range(trace.calendar.num_months() - 1);
+    let mut seen = HashSet::new();
+    let templates: Vec<String> = trace
+        .gpu_jobs()
+        .filter(|j| j.submit < train_end && seen.insert(j.name))
+        .map(|j| trace.names.display_name(j))
+        .collect();
+    g.bench_function("name_buckets_saturn_templates", |b| {
+        b.iter(|| {
+            let mut buckets = NameBuckets::new(0.25);
+            for name in &templates {
+                black_box(buckets.bucket(black_box(name)));
+            }
+            buckets.num_buckets()
         })
     });
     g.finish();

@@ -8,7 +8,7 @@
 //! 3. similar names found → exponentially-weighted decay over the matched
 //!    name's historical durations (recent runs dominate).
 
-use crate::text::{normalized_distance, strip_run_suffix};
+use crate::text::{strip_run_suffix, Query};
 use helios_trace::UserId;
 use std::collections::HashMap;
 
@@ -141,19 +141,26 @@ impl RollingEstimator {
     }
 
     /// Find the user's stem history matching `stem` (exact stem first, then
-    /// nearest within the similarity threshold).
+    /// nearest within the similarity threshold). Equidistant stems resolve
+    /// to the smallest string, so the match does not depend on the map's
+    /// iteration order.
     fn matched_history<'a>(&self, uh: &'a UserHistory, stem: &str) -> Option<&'a Vec<f64>> {
         if let Some(h) = uh.by_stem.get(stem) {
             return Some(h);
         }
-        let mut best: Option<(f64, &Vec<f64>)> = None;
+        let query = Query::new(stem);
+        let mut best: Option<(f64, &str, &Vec<f64>)> = None;
         for (s, h) in &uh.by_stem {
-            let d = normalized_distance(stem, s);
-            if d <= self.name_threshold && best.as_ref().is_none_or(|(bd, _)| d < *bd) {
-                best = Some((d, h));
+            let d = query.normalized_distance(s);
+            if d <= self.name_threshold
+                && best
+                    .as_ref()
+                    .is_none_or(|&(bd, bs, _)| d < bd || (d == bd && s.as_str() < bs))
+            {
+                best = Some((d, s, h));
             }
         }
-        best.map(|(_, h)| h)
+        best.map(|(_, _, h)| h)
     }
 
     /// Number of users with history.
@@ -215,6 +222,17 @@ mod tests {
         e.observe(1, "train_resnet50_imagenet_1", 8, 4_000.0);
         let est = e.estimate(1, "train_resnet56_imagenet_9", 8);
         assert!((est - 4_000.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn equidistant_stems_break_ties_on_the_stem() {
+        let mut e = RollingEstimator::default();
+        e.observe(1, "train_resnet50_imagenet_b", 8, 2_000.0);
+        e.observe(1, "train_resnet50_imagenet_a", 8, 1_000.0);
+        // One substitution from each stored stem: the smaller stem wins
+        // whatever order the map yields them in.
+        let est = e.estimate(1, "train_resnet50_imagenet_c", 8);
+        assert_eq!(est, 1_000.0);
     }
 
     #[test]

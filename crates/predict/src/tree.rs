@@ -6,13 +6,13 @@
 //! gradients are gathered once into node order so every histogram pass
 //! reads them sequentially, and a single row-major sweep fills the
 //! histograms of *all* candidate features at once (the binned dataset
-//! stores a row's feature bins contiguously). On multi-core hosts the
-//! sweep fans out over feature chunks via rayon; every accumulation order
-//! is identical to the sequential pass, so results are bit-identical
-//! regardless of thread count.
+//! stores a row's feature bins contiguously). Each node's sweep runs on the
+//! calling thread and adds in node-row order, so every sum is the same,
+//! bit for bit, at any thread count. (Fanning a node's sweep out over
+//! feature chunks was measured no faster on two cores: starting and joining
+//! the threads cost as much as the work they split.)
 
 use crate::binning::BinnedDataset;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Tree-growing hyper-parameters.
@@ -107,6 +107,12 @@ impl Tree {
                 }
             }
         }
+    }
+
+    /// The nodes in pre-order: the root first, every split before its
+    /// left subtree, which comes before its right subtree.
+    pub fn nodes(&self) -> &[Node] {
+        &self.nodes
     }
 
     /// Number of nodes.
@@ -222,11 +228,6 @@ pub fn build_tree_in(
         grads,
         ws,
         nodes: Vec::new(),
-        // Queried once per tree: available_parallelism is a syscall (plus
-        // cgroup reads on Linux) and must stay out of the per-node path.
-        threads: std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1),
     };
     grower.grow(0, n, 0, &mut on_leaf);
     Tree {
@@ -245,13 +246,7 @@ struct Grower<'a> {
     grads: Vec<f64>,
     ws: &'a mut TreeWorkspace,
     nodes: Vec<Node>,
-    /// Host parallelism, sampled once per tree.
-    threads: usize,
 }
-
-/// Rows below this count never fan the histogram sweep out over threads —
-/// thread spawns (~10µs in the vendored bridge) would dominate.
-const PAR_HIST_MIN_ROWS: usize = 16_384;
 
 impl Grower<'_> {
     /// Grow the subtree over `idx[lo..hi]`. Splittable nodes sweep their
@@ -315,43 +310,17 @@ impl Grower<'_> {
 
     /// One pass over the node's rows fills the histograms of every
     /// candidate feature. Per feature, bins accumulate in node-row order —
-    /// exactly the order a per-feature pass would use — so the sums are
-    /// bit-identical however the features are chunked across threads.
+    /// exactly the order a per-feature pass would use.
     fn build_hist(&mut self, lo: usize, hi: usize) -> Vec<HistCell> {
-        let stride = self.stride;
         let mut hist = self.take_hist();
-        let rows = &self.idx[lo..hi];
-        let grads = &self.grads[lo..hi];
-        let data = self.data;
-        let features = self.features;
-        let chunk_count = if rows.len() >= PAR_HIST_MIN_ROWS {
-            self.threads.min(features.len()).max(1)
-        } else {
-            1
-        };
-        if chunk_count <= 1 {
-            sweep(&mut hist, stride, rows, grads, data, features);
-            return hist;
-        }
-        // Multi-core: independent feature chunks, one row sweep each.
-        let per = features.len().div_ceil(chunk_count);
-        let chunks: Vec<(usize, &[u16])> = features
-            .chunks(per)
-            .enumerate()
-            .map(|(c, fs)| (c * per, fs))
-            .collect();
-        let parts: Vec<(usize, Vec<HistCell>)> = chunks
-            .into_par_iter()
-            .with_min_len(1)
-            .map(|(offset, fs)| {
-                let mut part = vec![HistCell::default(); fs.len() * stride];
-                sweep(&mut part, stride, rows, grads, data, fs);
-                (offset, part)
-            })
-            .collect();
-        for (offset, part) in parts {
-            hist[offset * stride..offset * stride + part.len()].copy_from_slice(&part);
-        }
+        sweep(
+            &mut hist,
+            self.stride,
+            &self.idx[lo..hi],
+            &self.grads[lo..hi],
+            self.data,
+            self.features,
+        );
         hist
     }
 
