@@ -1,11 +1,11 @@
 //! Cluster-level characterization (§3.1): daily utilization/submission
 //! profiles (Fig. 2) and monthly trends (Fig. 3).
 
-use crate::timeseries::{gpu_utilization_series, hourly_profile, submission_rate_series};
-use helios_trace::{Trace, SECS_PER_HOUR};
+use helios_trace::Trace;
 use serde::{Deserialize, Serialize};
 
-/// Fig. 2 data for one cluster: 24-entry hourly averages.
+/// Fig. 2 data for one cluster: 24-entry hourly averages, computed by
+/// [`crate::characterize`] (`FusedCharacterization::daily`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DailyPattern {
     pub cluster: String,
@@ -16,28 +16,6 @@ pub struct DailyPattern {
     /// §3.1.1 quotes the std-dev of hourly utilization (7% for Saturn,
     /// 10–12% elsewhere).
     pub utilization_std_dev: f64,
-}
-
-/// Compute Fig. 2 for one trace.
-pub fn daily_pattern(trace: &Trace) -> DailyPattern {
-    let horizon = trace.calendar.total_seconds();
-    let util = gpu_utilization_series(
-        &trace.jobs,
-        trace.total_gpus() as u64,
-        0,
-        horizon,
-        SECS_PER_HOUR,
-    );
-    let subs = submission_rate_series(&trace.jobs, 0, horizon, SECS_PER_HOUR, |j| j.is_gpu());
-    DailyPattern {
-        cluster: trace.spec.id.name().to_string(),
-        hourly_utilization: hourly_profile(&util)
-            .into_iter()
-            .map(|u| u * 100.0)
-            .collect(),
-        hourly_submissions: hourly_profile(&subs),
-        utilization_std_dev: util.std_dev() * 100.0,
-    }
 }
 
 /// Fig. 3 data for one cluster: per-month aggregates.
@@ -138,6 +116,7 @@ pub fn monthly_trend(trace: &Trace) -> MonthlyTrend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fused::characterize;
     use helios_trace::{generate, venus_profile, GeneratorConfig};
 
     fn trace() -> Trace {
@@ -153,7 +132,7 @@ mod tests {
 
     #[test]
     fn daily_pattern_shape() {
-        let p = daily_pattern(&trace());
+        let p = characterize(&trace()).daily;
         assert_eq!(p.hourly_utilization.len(), 24);
         assert_eq!(p.hourly_submissions.len(), 24);
         // Utilization stays within a sane percentage band.
@@ -171,7 +150,7 @@ mod tests {
     fn nightly_utilization_dip_is_mild() {
         // §3.1.1: a 5-8% decrease at night, "not very significant" because
         // long jobs run overnight.
-        let p = daily_pattern(&trace());
+        let p = characterize(&trace()).daily;
         let day_max = p.hourly_utilization.iter().cloned().fold(0.0, f64::max);
         let night_min = p.hourly_utilization[0..8]
             .iter()

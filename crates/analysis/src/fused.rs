@@ -1,21 +1,21 @@
-//! Fused single-pass characterization.
+//! Single-pass characterization: the one path behind every §3 number.
 //!
-//! The figure-by-figure API (`jobs::*`, `users::*`, `clusters::*`) is
-//! faithful to the paper but re-scans the multi-million-job trace once per
-//! statistic — a dozen full traversals, each `Cdf::new` re-collecting and
-//! re-sorting a fresh sample `Vec`. [`characterize`] computes the same
-//! outputs in **one traversal**: every status/class/demand counter, the
-//! per-user and per-VC accumulators, the time-binned utilization and
-//! submission series, and shared duration/size sample buffers that are
-//! sorted once (fanned out over rayon) and served to every figure as a
-//! borrowed [`CdfView`].
+//! [`characterize`] walks a trace **once**. In that pass it fills every
+//! status/class/demand counter, the per-user accumulators, the hourly
+//! utilization and submission series, and shared duration/size sample
+//! buffers. The buffers are sorted once (fanned out over rayon) and
+//! served to every figure as a borrowed [`CdfView`].
 //!
-//! Equivalence with the legacy multi-pass functions is exact — the fused
-//! pass accumulates every sum in the same trace order the per-figure scans
-//! use — and pinned by `tests/fused_equivalence.rs` across seeds and
-//! presets.
+//! Counts and sums are kept as integers, so [`pool`] can add several
+//! traces' results exactly: the Table 2 row, the Fig. 1(b) and Fig. 7
+//! status shares and the pooled Fig. 1(a) duration CDF come out
+//! bit-identical to a single scan over all the traces.
+//!
+//! `tests/fused_equivalence.rs` pins both functions, float for float,
+//! against straightforward per-figure reference scans kept in
+//! `tests/oracle/`, across seeds and presets.
 
-use crate::cdf::{CdfView, WeightedCdf};
+use crate::cdf::{Cdf, CdfView, WeightedCdf};
 use crate::clusters::DailyPattern;
 use crate::jobs::{
     demand_bucket, shares, status_index, StatusShares, TraceSummary, DEMAND_BUCKETS,
@@ -25,16 +25,91 @@ use crate::users::UserStats;
 use helios_trace::{Trace, SECS_PER_HOUR};
 use rayon::prelude::*;
 
+/// Integer counts and sums behind the float outputs. Every value is far
+/// below 2^53, so summing them and converting once gives the same bits
+/// as a running `f64` sum over the jobs.
+#[derive(Debug, Clone, Default)]
+struct Tallies {
+    gpu_jobs: u64,
+    cpu_jobs: u64,
+    /// Sum of GPU counts over GPU jobs.
+    gpus: u64,
+    max_gpus: u32,
+    /// Sum of GPU-job durations, seconds.
+    duration: i64,
+    max_duration: i64,
+    /// Job counts per final status, [completed, canceled, failed].
+    cpu_status: [u64; 3],
+    gpu_status: [u64; 3],
+    /// GPU-seconds per final status.
+    gpu_time: [i64; 3],
+    /// GPU-job counts per status, one row per [`DEMAND_BUCKETS`] entry.
+    demand: [[u64; 3]; DEMAND_BUCKETS.len()],
+}
+
+impl Tallies {
+    fn add(&mut self, o: &Tallies) {
+        self.gpu_jobs += o.gpu_jobs;
+        self.cpu_jobs += o.cpu_jobs;
+        self.gpus += o.gpus;
+        self.max_gpus = self.max_gpus.max(o.max_gpus);
+        self.duration += o.duration;
+        self.max_duration = self.max_duration.max(o.max_duration);
+        for s in 0..3 {
+            self.cpu_status[s] += o.cpu_status[s];
+            self.gpu_status[s] += o.gpu_status[s];
+            self.gpu_time[s] += o.gpu_time[s];
+            for (row, other) in self.demand.iter_mut().zip(&o.demand) {
+                row[s] += other[s];
+            }
+        }
+    }
+
+    fn summary(&self, clusters: usize, vcs: usize, duration_days: u32) -> TraceSummary {
+        let gpu_jobs = self.gpu_jobs.max(1) as f64;
+        TraceSummary {
+            clusters,
+            vcs,
+            jobs: self.gpu_jobs + self.cpu_jobs,
+            gpu_jobs: self.gpu_jobs,
+            cpu_jobs: self.cpu_jobs,
+            duration_days,
+            avg_gpus: self.gpus as f64 / gpu_jobs,
+            max_gpus: self.max_gpus,
+            avg_duration_s: self.duration as f64 / gpu_jobs,
+            max_duration_s: self.max_duration,
+        }
+    }
+
+    fn cpu_status(&self) -> StatusShares {
+        shares(self.cpu_status.map(|c| c as f64))
+    }
+
+    fn gpu_status(&self) -> StatusShares {
+        shares(self.gpu_status.map(|c| c as f64))
+    }
+
+    fn gpu_time_status(&self) -> StatusShares {
+        shares(self.gpu_time.map(|t| t as f64))
+    }
+
+    fn status_by_demand(&self) -> Vec<StatusShares> {
+        self.demand
+            .iter()
+            .map(|row| shares(row.map(|c| c as f64)))
+            .collect()
+    }
+}
+
 /// Everything §3 needs from one trace, computed by [`characterize`] in a
 /// single pass.
 #[derive(Debug, Clone)]
 pub struct FusedCharacterization {
-    /// Table 2 row (equals `jobs::summarize(&[trace])`).
+    /// Table 2 row for this trace alone.
     pub summary: TraceSummary,
-    /// Fig. 2 daily pattern (equals `clusters::daily_pattern`).
+    /// Fig. 2 daily pattern.
     pub daily: DailyPattern,
-    /// Per-user aggregates, sorted by user id (equals
-    /// `users::per_user_stats`).
+    /// Per-user aggregates, sorted by user id (Figs. 8 and 9).
     pub users: Vec<UserStats>,
     /// Fig. 7(a) CPU-job status shares, percent.
     pub cpu_status: StatusShares,
@@ -44,6 +119,8 @@ pub struct FusedCharacterization {
     pub gpu_time_status: StatusShares,
     /// Fig. 7(b) status shares per GPU-demand bucket.
     pub status_by_demand: Vec<StatusShares>,
+    /// Integer partials behind the fields above, for [`pool`].
+    tallies: Tallies,
     /// Shared sorted sample buffers behind the [`CdfView`] accessors.
     gpu_durations: Vec<f64>,
     cpu_durations: Vec<f64>,
@@ -83,16 +160,7 @@ pub fn characterize(trace: &Trace) -> FusedCharacterization {
     let num_bins = ((horizon + bin - 1) / bin) as usize;
 
     // Single-pass accumulators.
-    let mut gpu_jobs = 0u64;
-    let mut cpu_jobs = 0u64;
-    let mut gpus_sum = 0.0f64;
-    let mut max_gpus = 0u32;
-    let mut dur_sum = 0.0f64;
-    let mut max_dur = 0i64;
-    let mut cpu_counts = [0.0f64; 3];
-    let mut gpu_counts = [0.0f64; 3];
-    let mut gpu_time_acc = [0.0f64; 3];
-    let mut demand_acc = vec![[0.0f64; 3]; DEMAND_BUCKETS.len()];
+    let mut t = Tallies::default();
     let mut user_stats: Vec<UserStats> = Vec::new();
     let mut user_seen: Vec<bool> = Vec::new();
     let mut busy = vec![0.0f64; num_bins];
@@ -115,17 +183,17 @@ pub fn characterize(trace: &Trace) -> FusedCharacterization {
         let s = &mut user_stats[uid];
         let si = status_index(j.status);
         if j.is_gpu() {
-            let gpu_time = j.gpu_time() as f64;
-            gpu_jobs += 1;
-            gpus_sum += j.gpus as f64;
-            max_gpus = max_gpus.max(j.gpus);
-            dur_sum += j.duration as f64;
-            max_dur = max_dur.max(j.duration);
-            gpu_counts[si] += 1.0;
-            gpu_time_acc[si] += gpu_time;
+            t.gpu_jobs += 1;
+            t.gpus += j.gpus as u64;
+            t.max_gpus = t.max_gpus.max(j.gpus);
+            t.duration += j.duration;
+            t.max_duration = t.max_duration.max(j.duration);
+            t.gpu_status[si] += 1;
+            t.gpu_time[si] += j.gpu_time();
             if let Some(b) = demand_bucket(j.gpus) {
-                demand_acc[b][si] += 1.0;
+                t.demand[b][si] += 1;
             }
+            let gpu_time = j.gpu_time() as f64;
             s.gpu_jobs += 1;
             s.gpu_time += gpu_time;
             s.queue_delay += j.queue_delay() as f64;
@@ -155,8 +223,8 @@ pub fn characterize(trace: &Trace) -> FusedCharacterization {
                 submissions[(j.submit / bin) as usize] += 1.0;
             }
         } else {
-            cpu_jobs += 1;
-            cpu_counts[si] += 1.0;
+            t.cpu_jobs += 1;
+            t.cpu_status[si] += 1;
             s.cpu_jobs += 1;
             s.cpu_time += j.cpu_time() as f64;
             cpu_durations.push(j.duration as f64);
@@ -203,28 +271,65 @@ pub fn characterize(trace: &Trace) -> FusedCharacterization {
         .collect();
 
     FusedCharacterization {
-        summary: TraceSummary {
-            clusters: 1,
-            vcs: trace.spec.num_vcs(),
-            jobs: gpu_jobs + cpu_jobs,
-            gpu_jobs,
-            cpu_jobs,
-            duration_days: trace.calendar.total_days(),
-            avg_gpus: gpus_sum / gpu_jobs.max(1) as f64,
-            max_gpus,
-            avg_duration_s: dur_sum / gpu_jobs.max(1) as f64,
-            max_duration_s: max_dur,
-        },
+        summary: t.summary(1, trace.spec.num_vcs(), trace.calendar.total_days()),
         daily,
         users,
-        cpu_status: shares(cpu_counts),
-        gpu_status: shares(gpu_counts),
-        gpu_time_status: shares(gpu_time_acc),
-        status_by_demand: demand_acc.into_iter().map(shares).collect(),
+        cpu_status: t.cpu_status(),
+        gpu_status: t.gpu_status(),
+        gpu_time_status: t.gpu_time_status(),
+        status_by_demand: t.status_by_demand(),
+        tallies: t,
         gpu_durations,
         cpu_durations,
         gpu_sizes,
         size_by_time,
+    }
+}
+
+/// The §3 statistics the paper reports over several clusters at once
+/// (Table 2, Figs. 1 and 7), computed by [`pool`].
+#[derive(Debug, Clone)]
+pub struct PooledCharacterization {
+    /// Table 2 column: `clusters` counts the parts, `vcs` is their sum
+    /// and `duration_days` their maximum.
+    pub summary: TraceSummary,
+    /// Fig. 7(a) CPU-job status shares, percent.
+    pub cpu_status: StatusShares,
+    /// Fig. 7(a) GPU-job status shares, percent.
+    pub gpu_status: StatusShares,
+    /// Fig. 1(b) GPU-*time* status shares, percent.
+    pub gpu_time_status: StatusShares,
+    /// Fig. 7(b) status shares per GPU-demand bucket.
+    pub status_by_demand: Vec<StatusShares>,
+    /// Fig. 1(a): GPU-job duration CDF over every part.
+    pub gpu_duration_cdf: Cdf,
+}
+
+/// Pool per-trace characterizations: every count and sum is added as an
+/// integer and converted once, so the result is exactly what one scan
+/// over all the traces would give.
+pub fn pool(parts: &[&FusedCharacterization]) -> PooledCharacterization {
+    let mut t = Tallies::default();
+    for p in parts {
+        t.add(&p.tallies);
+    }
+    let vcs = parts.iter().map(|p| p.summary.vcs).sum();
+    let days = parts
+        .iter()
+        .map(|p| p.summary.duration_days)
+        .max()
+        .unwrap_or(0);
+    let durations = parts
+        .iter()
+        .flat_map(|p| p.gpu_durations.iter().copied())
+        .collect();
+    PooledCharacterization {
+        summary: t.summary(parts.len(), vcs, days),
+        cpu_status: t.cpu_status(),
+        gpu_status: t.gpu_status(),
+        gpu_time_status: t.gpu_time_status(),
+        status_by_demand: t.status_by_demand(),
+        gpu_duration_cdf: Cdf::new(durations),
     }
 }
 

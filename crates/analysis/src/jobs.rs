@@ -1,9 +1,9 @@
-//! Job-level characterization (§3.2): duration CDFs (Figs. 1a/5), job-size
-//! distributions (Fig. 6), final-status breakdowns (Figs. 1b/7) and the
-//! Table 2 summary row.
+//! Job-level characterization (§3.2): the Table 2 summary row, the
+//! final-status shares of Figs. 1b/7 and the GPU-demand buckets of
+//! Fig. 7(b). The statistics themselves are computed by
+//! [`crate::characterize`] and pooled by [`crate::pool`].
 
-use crate::cdf::{Cdf, WeightedCdf};
-use helios_trace::{JobStatus, Trace};
+use helios_trace::JobStatus;
 use serde::{Deserialize, Serialize};
 
 /// Table 2 row for a trace set.
@@ -19,68 +19,6 @@ pub struct TraceSummary {
     pub max_gpus: u32,
     pub avg_duration_s: f64,
     pub max_duration_s: i64,
-}
-
-/// Compute the Table 2 summary over one or more traces.
-pub fn summarize(traces: &[&Trace]) -> TraceSummary {
-    let mut gpu_jobs = 0u64;
-    let mut cpu_jobs = 0u64;
-    let mut gpus_sum = 0.0;
-    let mut max_gpus = 0;
-    let mut dur_sum = 0.0;
-    let mut max_dur = 0;
-    for t in traces {
-        for j in &t.jobs {
-            if j.is_gpu() {
-                gpu_jobs += 1;
-                gpus_sum += j.gpus as f64;
-                max_gpus = max_gpus.max(j.gpus);
-                dur_sum += j.duration as f64;
-                max_dur = max_dur.max(j.duration);
-            } else {
-                cpu_jobs += 1;
-            }
-        }
-    }
-    TraceSummary {
-        clusters: traces.len(),
-        vcs: traces.iter().map(|t| t.spec.num_vcs()).sum(),
-        jobs: gpu_jobs + cpu_jobs,
-        gpu_jobs,
-        cpu_jobs,
-        duration_days: traces
-            .iter()
-            .map(|t| t.calendar.total_days())
-            .max()
-            .unwrap_or(0),
-        avg_gpus: gpus_sum / gpu_jobs.max(1) as f64,
-        max_gpus,
-        avg_duration_s: dur_sum / gpu_jobs.max(1) as f64,
-        max_duration_s: max_dur,
-    }
-}
-
-/// Duration CDF of GPU jobs (Fig. 1a / Fig. 5a).
-pub fn gpu_duration_cdf(trace: &Trace) -> Cdf {
-    Cdf::new(trace.gpu_jobs().map(|j| j.duration as f64).collect())
-}
-
-/// Duration CDF of CPU jobs (Fig. 5b).
-pub fn cpu_duration_cdf(trace: &Trace) -> Cdf {
-    Cdf::new(trace.cpu_jobs().map(|j| j.duration as f64).collect())
-}
-
-/// Fig. 6(a): CDF of job sizes weighted by job count, and
-/// Fig. 6(b): CDF of job sizes weighted by GPU time.
-pub fn job_size_cdfs(trace: &Trace) -> (Cdf, WeightedCdf) {
-    let by_count = Cdf::new(trace.gpu_jobs().map(|j| j.gpus as f64).collect());
-    let by_time = WeightedCdf::new(
-        trace
-            .gpu_jobs()
-            .map(|j| (j.gpus as f64, j.gpu_time() as f64))
-            .collect(),
-    );
-    (by_count, by_time)
 }
 
 /// Status shares in percent, ordered [completed, canceled, failed].
@@ -106,30 +44,6 @@ pub(crate) fn status_index(s: JobStatus) -> usize {
     }
 }
 
-/// Fig. 1(b): percentage of *GPU time* by final status.
-pub fn gpu_time_by_status(traces: &[&Trace]) -> StatusShares {
-    let mut acc = [0.0f64; 3];
-    for t in traces {
-        for j in t.gpu_jobs() {
-            acc[status_index(j.status)] += j.gpu_time() as f64;
-        }
-    }
-    shares(acc)
-}
-
-/// Fig. 7(a): percentage of jobs by final status, for (cpu, gpu) jobs.
-pub fn status_by_job_class(traces: &[&Trace]) -> (StatusShares, StatusShares) {
-    let mut cpu = [0.0f64; 3];
-    let mut gpu = [0.0f64; 3];
-    for t in traces {
-        for j in &t.jobs {
-            let acc = if j.is_gpu() { &mut gpu } else { &mut cpu };
-            acc[status_index(j.status)] += 1.0;
-        }
-    }
-    (shares(cpu), shares(gpu))
-}
-
 /// Fig. 7(b): status shares per GPU-demand bucket. Buckets are the powers of
 /// two the paper plots: 1, 2, 4, 8, 16, 32, >=64.
 pub const DEMAND_BUCKETS: [&str; 7] = ["1", "2", "4", "8", "16", "32", ">=64"];
@@ -148,22 +62,10 @@ pub fn demand_bucket(gpus: u32) -> Option<usize> {
     }
 }
 
-/// Compute Fig. 7(b): one status-share triple per demand bucket.
-pub fn status_by_gpu_demand(traces: &[&Trace]) -> Vec<StatusShares> {
-    let mut acc = vec![[0.0f64; 3]; DEMAND_BUCKETS.len()];
-    for t in traces {
-        for j in t.gpu_jobs() {
-            if let Some(b) = demand_bucket(j.gpus) {
-                acc[b][status_index(j.status)] += 1.0;
-            }
-        }
-    }
-    acc.into_iter().map(shares).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fused::{characterize, pool, FusedCharacterization};
     use helios_trace::{generate, generate_helios, venus_profile, GeneratorConfig};
 
     fn cfg() -> GeneratorConfig {
@@ -173,10 +75,19 @@ mod tests {
         }
     }
 
+    /// The four Helios clusters, characterized.
+    fn helios() -> Vec<FusedCharacterization> {
+        generate_helios(&cfg())
+            .unwrap()
+            .iter()
+            .map(characterize)
+            .collect()
+    }
+
     #[test]
     fn summary_counts_consistent() {
         let t = generate(&venus_profile(), &cfg()).unwrap();
-        let s = summarize(&[&t]);
+        let s = characterize(&t).summary;
         assert_eq!(s.jobs, t.jobs.len() as u64);
         assert_eq!(s.gpu_jobs + s.cpu_jobs, s.jobs);
         assert_eq!(s.clusters, 1);
@@ -188,8 +99,8 @@ mod tests {
     fn duration_cdfs_ordered() {
         // GPU jobs are an order of magnitude longer than CPU jobs (§3.2.1).
         let t = generate(&venus_profile(), &cfg()).unwrap();
-        let g = gpu_duration_cdf(&t);
-        let c = cpu_duration_cdf(&t);
+        let f = characterize(&t);
+        let (g, c) = (f.gpu_duration_cdf(), f.cpu_duration_cdf());
         assert!(g.median() > c.median());
         // Paper ratio is 10.6x; at tiny test scale the preprocess tail
         // is noisy, so assert a conservative 2x.
@@ -199,7 +110,8 @@ mod tests {
     #[test]
     fn job_size_cdf_pair() {
         let t = generate(&venus_profile(), &cfg()).unwrap();
-        let (count, time) = job_size_cdfs(&t);
+        let f = characterize(&t);
+        let (count, time) = (f.job_size_cdf(), f.job_size_time_cdf());
         // >50% single-GPU by count, far less by GPU time (Implication #4).
         assert!(count.fraction_at(1.0) > 0.5);
         assert!(time.fraction_at(1.0) < count.fraction_at(1.0));
@@ -207,9 +119,9 @@ mod tests {
 
     #[test]
     fn status_shares_sum_to_100() {
-        let traces = generate_helios(&cfg()).unwrap();
-        let refs: Vec<&Trace> = traces.iter().collect();
-        let (cpu, gpu) = status_by_job_class(&refs);
+        let helios = helios();
+        let pooled = pool(&helios.iter().collect::<Vec<_>>());
+        let (cpu, gpu) = (pooled.cpu_status, pooled.gpu_status);
         assert!((cpu.iter().sum::<f64>() - 100.0).abs() < 1e-9);
         assert!((gpu.iter().sum::<f64>() - 100.0).abs() < 1e-9);
         // Fig. 7a: GPU unsuccessful >> CPU unsuccessful.
@@ -219,13 +131,13 @@ mod tests {
     #[test]
     fn completion_falls_with_demand() {
         let traces = generate_helios(&cfg()).unwrap();
-        let refs: Vec<&Trace> = traces.iter().collect();
-        let by_demand = status_by_gpu_demand(&refs);
+        let helios: Vec<FusedCharacterization> = traces.iter().map(characterize).collect();
+        let by_demand = pool(&helios.iter().collect::<Vec<_>>()).status_by_demand;
         // Fig. 7b: small jobs complete far more often than large jobs. At
         // test scale the VC-size cap empties the largest buckets, so compare
         // against the largest bucket with a meaningful population.
         let mut counts = vec![0u64; DEMAND_BUCKETS.len()];
-        for t in &refs {
+        for t in &traces {
             for j in t.gpu_jobs() {
                 if let Some(b) = demand_bucket(j.gpus) {
                     counts[b] += 1;
@@ -259,9 +171,8 @@ mod tests {
 
     #[test]
     fn gpu_time_by_status_shares() {
-        let traces = generate_helios(&cfg()).unwrap();
-        let refs: Vec<&Trace> = traces.iter().collect();
-        let s = gpu_time_by_status(&refs);
+        let helios = helios();
+        let s = pool(&helios.iter().collect::<Vec<_>>()).gpu_time_status;
         assert!((s.iter().sum::<f64>() - 100.0).abs() < 1e-9);
         // Fig. 1b: a significant fraction of GPU time goes to non-completed
         // jobs.

@@ -1,11 +1,8 @@
-//! Time-binned occupancy and rate series derived from a job trace.
-//!
-//! These series back the cluster-level figures (Figs. 2, 3, 4, 14, 15) and
-//! feed the CES forecasting pipeline: GPU occupancy (utilization), submission
-//! rates, and per-bin busy-node counts.
+//! Time-binned series derived from a job trace: the regularly-binned
+//! [`BinnedSeries`], GPU utilization per bin (the per-VC boxplots of
+//! Fig. 4) and the hour-of-day fold behind Fig. 2.
 
 use helios_trace::{JobRecord, SECS_PER_HOUR};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// A regularly-binned time series over `[t0, t0 + bin * len)`.
@@ -73,20 +70,9 @@ impl BinnedSeries {
 
 /// GPU-seconds busy per bin, divided by `capacity * bin` → utilization in
 /// \[0, 1\]. Jobs wider than `capacity` (over-capacity artifacts) are ignored,
-/// matching the replay semantics.
-pub fn gpu_utilization_series(
-    jobs: &[JobRecord],
-    capacity_gpus: u64,
-    t0: i64,
-    t1: i64,
-    bin: i64,
-) -> BinnedSeries {
-    gpu_utilization_series_from(jobs, capacity_gpus, t0, t1, bin)
-}
-
-/// [`gpu_utilization_series`] over any job iterator — callers that already
-/// hold per-VC job references avoid cloning records into a fresh `Vec`.
-pub fn gpu_utilization_series_from<'a>(
+/// matching the replay semantics. Takes any job iterator, so callers that
+/// hold per-VC job references need not clone records into a fresh `Vec`.
+pub fn gpu_utilization_series<'a>(
     jobs: impl IntoIterator<Item = &'a JobRecord>,
     capacity_gpus: u64,
     t0: i64,
@@ -119,40 +105,6 @@ pub fn gpu_utilization_series_from<'a>(
         bin,
         values: busy.into_iter().map(|b| b / denom).collect(),
     }
-}
-
-/// Jobs submitted per bin (optionally restricted by a filter).
-pub fn submission_rate_series<F: Fn(&JobRecord) -> bool + Sync>(
-    jobs: &[JobRecord],
-    t0: i64,
-    t1: i64,
-    bin: i64,
-    filter: F,
-) -> BinnedSeries {
-    assert!(bin > 0 && t1 > t0);
-    let n = (((t1 - t0) + bin - 1) / bin) as usize;
-    // Parallel fold: count submissions per bin.
-    let values = jobs
-        .par_iter()
-        .fold(
-            || vec![0.0f64; n],
-            |mut acc, j| {
-                if j.submit >= t0 && j.submit < t1 && filter(j) {
-                    acc[((j.submit - t0) / bin) as usize] += 1.0;
-                }
-                acc
-            },
-        )
-        .reduce(
-            || vec![0.0f64; n],
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-                a
-            },
-        );
-    BinnedSeries { t0, bin, values }
 }
 
 /// Hourly profile over a day: fold a series into 24 hour-of-day buckets.
@@ -215,15 +167,6 @@ mod tests {
         let jobs = vec![job(2048, 0, 100)];
         let s = gpu_utilization_series(&jobs, 8, 0, 100, 100);
         assert_eq!(s.values[0], 0.0);
-    }
-
-    #[test]
-    fn submission_counts() {
-        let jobs = vec![job(1, 10, 5), job(1, 20, 5), job(2, 110, 5)];
-        let s = submission_rate_series(&jobs, 0, 200, 100, |_| true);
-        assert_eq!(s.values, vec![2.0, 1.0]);
-        let multi = submission_rate_series(&jobs, 0, 200, 100, |j| j.gpus > 1);
-        assert_eq!(multi.values, vec![0.0, 1.0]);
     }
 
     #[test]

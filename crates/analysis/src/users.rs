@@ -3,11 +3,11 @@
 //! rates (Fig. 9).
 
 use crate::cdf::WeightedCdf;
-use helios_trace::{JobStatus, Trace, UserId};
+use helios_trace::UserId;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
-/// Per-user aggregates for one trace.
+/// Per-user aggregates for one trace, computed by
+/// [`crate::characterize`] (`FusedCharacterization::users`).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct UserStats {
     pub user: UserId,
@@ -28,30 +28,6 @@ impl UserStats {
             self.completed_gpu_jobs as f64 / self.gpu_jobs as f64
         }
     }
-}
-
-/// Aggregate the trace per user.
-pub fn per_user_stats(trace: &Trace) -> Vec<UserStats> {
-    let mut map: BTreeMap<UserId, UserStats> = BTreeMap::new();
-    for j in &trace.jobs {
-        let s = map.entry(j.user).or_insert_with(|| UserStats {
-            user: j.user,
-            ..Default::default()
-        });
-        if j.is_gpu() {
-            s.gpu_jobs += 1;
-            s.gpu_time += j.gpu_time() as f64;
-            s.queue_delay += j.queue_delay() as f64;
-            if j.status == JobStatus::Completed {
-                s.completed_gpu_jobs += 1;
-            }
-        } else {
-            s.cpu_jobs += 1;
-            s.cpu_time += j.cpu_time() as f64;
-        }
-    }
-    // BTreeMap iteration is user-id order already — the report contract.
-    map.into_values().collect()
 }
 
 /// One concentration curve: (fraction of users, fraction of resource time),
@@ -109,31 +85,28 @@ pub fn completion_rate_histogram(stats: &[UserStats], bins: usize) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use helios_trace::{generate, venus_profile, GeneratorConfig};
+    use crate::fused::characterize;
+    use helios_trace::{generate, venus_profile, GeneratorConfig, Trace};
 
-    fn stats() -> Vec<UserStats> {
-        let t = generate(
+    fn trace() -> Trace {
+        generate(
             &venus_profile(),
             &GeneratorConfig {
                 scale: 0.05,
                 seed: 3,
             },
         )
-        .unwrap();
-        per_user_stats(&t)
+        .unwrap()
+    }
+
+    fn stats() -> Vec<UserStats> {
+        characterize(&trace()).users
     }
 
     #[test]
     fn aggregates_cover_all_jobs() {
-        let t = generate(
-            &venus_profile(),
-            &GeneratorConfig {
-                scale: 0.05,
-                seed: 3,
-            },
-        )
-        .unwrap();
-        let stats = per_user_stats(&t);
+        let t = trace();
+        let stats = characterize(&t).users;
         let total: u64 = stats.iter().map(|s| s.gpu_jobs + s.cpu_jobs).sum();
         assert_eq!(total, t.jobs.len() as u64);
     }

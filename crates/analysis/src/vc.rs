@@ -3,7 +3,7 @@
 //! the top-k largest VCs over a stable month.
 
 use crate::quantiles::{min_max_normalize, BoxStats};
-use crate::timeseries::gpu_utilization_series_from;
+use crate::timeseries::gpu_utilization_series;
 use helios_trace::{Trace, VcId, SECS_PER_MINUTE};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -60,7 +60,7 @@ pub fn vc_behaviors(trace: &Trace, month: usize, top_k: usize) -> Vec<VcBehavior
             let vc = vc_idx as VcId;
             let capacity = trace.spec.vc_gpus(vc) as u64;
             let util =
-                gpu_utilization_series_from(occ.iter().copied(), capacity, lo, hi, SECS_PER_MINUTE);
+                gpu_utilization_series(occ.iter().copied(), capacity, lo, hi, SECS_PER_MINUTE);
             let pct: Vec<f64> = util.values.iter().map(|u| u * 100.0).collect();
             let vc_jobs: Vec<_> = occ
                 .iter()

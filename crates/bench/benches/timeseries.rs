@@ -1,7 +1,10 @@
-//! Occupancy/submission binning (Figs 2-4 substrate).
+//! §3 characterization: the one-pass `characterize` over a generated
+//! trace (Figs. 1-2 and 5-9 substrate), and the per-bin utilization
+//! series behind the per-VC boxplots of Fig. 4.
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use helios_analysis::timeseries::{gpu_utilization_series, submission_rate_series};
-use helios_trace::{JobRecord, JobStatus};
+use helios_analysis::characterize;
+use helios_analysis::timeseries::gpu_utilization_series;
+use helios_trace::{generate, venus_profile, GeneratorConfig, JobRecord, JobStatus};
 
 fn jobs(n: u64) -> Vec<JobRecord> {
     (0..n)
@@ -23,13 +26,21 @@ fn jobs(n: u64) -> Vec<JobRecord> {
 
 fn bench(c: &mut Criterion) {
     let js = jobs(100_000);
+    let venus = generate(
+        &venus_profile(),
+        &GeneratorConfig {
+            scale: 0.1,
+            seed: 2020,
+        },
+    )
+    .expect("valid preset");
     let mut g = c.benchmark_group("timeseries");
     g.sample_size(10);
     g.bench_function("utilization_100k_jobs_hourly", |b| {
         b.iter(|| gpu_utilization_series(black_box(&js), 1_064, 0, 2_100_000, 3_600))
     });
-    g.bench_function("submission_rate_100k_jobs", |b| {
-        b.iter(|| submission_rate_series(black_box(&js), 0, 2_100_000, 3_600, |j| j.is_gpu()))
+    g.bench_function("characterize_venus_scale_0.1", |b| {
+        b.iter(|| characterize(black_box(&venus)))
     });
     g.finish();
 }

@@ -4,7 +4,7 @@
 
 use helios_analysis::cdf::Cdf;
 use helios_analysis::report::{fmt_count, fmt_secs, TextTable};
-use helios_analysis::{clusters, jobs, users, vc};
+use helios_analysis::{characterize, clusters, jobs, pool, users, vc, FusedCharacterization};
 use helios_core::{
     noisy_oracle_priorities, CesEvaluation, CesService, CesServiceConfig, QssfConfig, QssfService,
 };
@@ -48,16 +48,17 @@ pub fn run_parallelism() -> usize {
 pub use helios_sim::digest::outcome_digest;
 
 /// One `runs` record: wall time, throughput and outcome digest of one
-/// policy simulation. `wall_secs` excludes trace generation and QSSF
-/// training.
+/// run. `wall_secs` excludes trace generation and QSSF training. A record
+/// whose run was not timed on its own writes `null` wall time and
+/// throughput, and one whose run has no outcomes writes a `null` digest.
 fn run_record(
     cluster: &str,
     policy: &str,
     jobs: usize,
-    wall_secs: f64,
-    jobs_per_sec: f64,
-    outcome_digest: String,
+    timing: Option<(f64, f64)>,
+    outcome_digest: Option<String>,
 ) -> serde_json::Value {
+    let (wall_secs, jobs_per_sec) = timing.unzip();
     json!({
         "cluster": cluster,
         "policy": policy,
@@ -88,6 +89,9 @@ pub struct Context {
     policies: Vec<&'static str>,
     helios: Option<Vec<Trace>>,
     philly: Option<Trace>,
+    /// One-pass §3 characterization of each Helios trace, in trace order.
+    helios_fused: Option<Vec<FusedCharacterization>>,
+    philly_fused: Option<FusedCharacterization>,
     sched: Option<Vec<SchedulerRun>>,
     sched_philly: Option<SchedulerRun>,
     ces: Option<Vec<(String, CesEvaluation)>>,
@@ -117,6 +121,8 @@ impl Context {
             policies: PAPER_POLICIES.to_vec(),
             helios: None,
             philly: None,
+            helios_fused: None,
+            philly_fused: None,
             sched: None,
             sched_philly: None,
             ces: None,
@@ -218,6 +224,24 @@ impl Context {
                 Some(generate_philly(&self.cfg).expect("config validated in Context::new"));
         }
         self.philly.as_ref().unwrap()
+    }
+
+    /// §3 characterization of each Helios trace (computed once, one
+    /// trace per rayon thread).
+    pub fn helios_characterization(&mut self) -> &[FusedCharacterization] {
+        if self.helios_fused.is_none() {
+            let fused = self.helios().par_iter().map(characterize).collect();
+            self.helios_fused = Some(fused);
+        }
+        self.helios_fused.as_ref().expect("characterized above")
+    }
+
+    /// §3 characterization of the Philly trace (computed once).
+    pub fn philly_characterization(&mut self) -> &FusedCharacterization {
+        if self.philly_fused.is_none() {
+            self.philly_fused = Some(characterize(self.philly()));
+        }
+        self.philly_fused.as_ref().expect("characterized above")
     }
 
     /// September scheduler comparisons on all four Helios clusters over
@@ -421,9 +445,8 @@ fn timed_run(
         cluster,
         &policy_name,
         jobs.len(),
-        wall_secs,
-        jobs_per_sec,
-        digest,
+        Some((wall_secs, jobs_per_sec)),
+        Some(digest),
     );
     (label, record, outcomes)
 }
@@ -589,10 +612,15 @@ fn table1(ctx: &mut Context) -> ExperimentOutput {
     }
 }
 
+/// [`pool`] over the cached Helios characterizations: the statistics
+/// Table 2 and Figs. 1 and 7 report across the four clusters.
+fn helios_pooled(ctx: &mut Context) -> helios_analysis::PooledCharacterization {
+    pool(&ctx.helios_characterization().iter().collect::<Vec<_>>())
+}
+
 fn table2(ctx: &mut Context) -> ExperimentOutput {
-    let helios_refs: Vec<&Trace> = ctx.helios().iter().collect();
-    let h = jobs::summarize(&helios_refs);
-    let p = jobs::summarize(&[ctx.philly()]);
+    let h = helios_pooled(ctx).summary;
+    let p = &ctx.philly_characterization().summary;
     let mut table = TextTable::new(vec!["", "Helios", "Philly"]);
     table.row(vec![
         "# of clusters".to_string(),
@@ -659,13 +687,9 @@ fn table2(ctx: &mut Context) -> ExperimentOutput {
 
 fn fig1(ctx: &mut Context) -> ExperimentOutput {
     let grid = Cdf::log_grid(1.0, 1.0e7, 15);
-    let helios_durs: Vec<f64> = ctx
-        .helios()
-        .iter()
-        .flat_map(|t| t.gpu_jobs().map(|j| j.duration as f64).collect::<Vec<_>>())
-        .collect();
-    let h_cdf = Cdf::new(helios_durs);
-    let p_cdf = jobs::gpu_duration_cdf(ctx.philly());
+    let h = helios_pooled(ctx);
+    let p = ctx.philly_characterization();
+    let (h_cdf, p_cdf) = (&h.gpu_duration_cdf, p.gpu_duration_cdf());
     let mut table = TextTable::new(vec!["duration", "Helios CDF%", "Philly CDF%"]);
     for &x in &grid {
         table.row(vec![
@@ -674,9 +698,7 @@ fn fig1(ctx: &mut Context) -> ExperimentOutput {
             format!("{:.1}", 100.0 * p_cdf.fraction_at(x)),
         ]);
     }
-    let helios_refs: Vec<&Trace> = ctx.helios().iter().collect();
-    let h_status = jobs::gpu_time_by_status(&helios_refs);
-    let p_status = jobs::gpu_time_by_status(&[ctx.philly()]);
+    let (h_status, p_status) = (h.gpu_time_status, p.gpu_time_status);
     let mut t2 = TextTable::new(vec!["GPU time %", "completed", "canceled", "failed"]);
     t2.row(vec![
         "Helios".to_string(),
@@ -702,8 +724,11 @@ fn fig1(ctx: &mut Context) -> ExperimentOutput {
 }
 
 fn fig2(ctx: &mut Context) -> ExperimentOutput {
-    let patterns: Vec<clusters::DailyPattern> =
-        ctx.helios().iter().map(clusters::daily_pattern).collect();
+    let patterns: Vec<&clusters::DailyPattern> = ctx
+        .helios_characterization()
+        .iter()
+        .map(|f| &f.daily)
+        .collect();
     let mut t1 = TextTable::new(vec!["hour", "Venus%", "Earth%", "Saturn%", "Uranus%"]);
     let mut t2 = TextTable::new(vec!["hour", "Venus", "Earth", "Saturn", "Uranus"]);
     for h in 0..24 {
@@ -831,8 +856,9 @@ fn fig5(ctx: &mut Context) -> ExperimentOutput {
     let grid = Cdf::log_grid(1.0, 1.0e6, 13);
     let mut t1 = TextTable::new(vec!["duration", "Venus%", "Earth%", "Saturn%", "Uranus%"]);
     let mut t2 = TextTable::new(vec!["duration", "Venus%", "Earth%", "Saturn%", "Uranus%"]);
-    let gpu: Vec<Cdf> = ctx.helios().iter().map(jobs::gpu_duration_cdf).collect();
-    let cpu: Vec<Cdf> = ctx.helios().iter().map(jobs::cpu_duration_cdf).collect();
+    let fused = ctx.helios_characterization();
+    let gpu: Vec<_> = fused.iter().map(|f| f.gpu_duration_cdf()).collect();
+    let cpu: Vec<_> = fused.iter().map(|f| f.cpu_duration_cdf()).collect();
     for &x in &grid {
         t1.row(
             vec![fmt_secs(x)]
@@ -855,8 +881,8 @@ fn fig5(ctx: &mut Context) -> ExperimentOutput {
     }
     let medians: Vec<String> = gpu
         .iter()
-        .zip(ctx.helios())
-        .map(|(c, t)| format!("{}={:.0}s", t.spec.id, c.median()))
+        .zip(fused)
+        .map(|(c, f)| format!("{}={:.0}s", f.daily.cluster, c.median()))
         .collect();
     ExperimentOutput {
         id: "fig5".into(),
@@ -872,7 +898,11 @@ fn fig6(ctx: &mut Context) -> ExperimentOutput {
     let sizes = [1.0, 4.0, 8.0, 16.0, 32.0, 64.0, 2048.0];
     let mut t1 = TextTable::new(vec!["<=GPUs", "Venus%", "Earth%", "Saturn%", "Uranus%"]);
     let mut t2 = TextTable::new(vec!["<=GPUs", "Venus%", "Earth%", "Saturn%", "Uranus%"]);
-    let pairs: Vec<_> = ctx.helios().iter().map(jobs::job_size_cdfs).collect();
+    let pairs: Vec<_> = ctx
+        .helios_characterization()
+        .iter()
+        .map(|f| (f.job_size_cdf(), f.job_size_time_cdf()))
+        .collect();
     for &s in &sizes {
         t1.row(
             std::iter::once(format!("{s}"))
@@ -907,9 +937,8 @@ fn fig6(ctx: &mut Context) -> ExperimentOutput {
 }
 
 fn fig7(ctx: &mut Context) -> ExperimentOutput {
-    let refs: Vec<&Trace> = ctx.helios().iter().collect();
-    let (cpu, gpu) = jobs::status_by_job_class(&refs);
-    let by_demand = jobs::status_by_gpu_demand(&refs);
+    let h = helios_pooled(ctx);
+    let (cpu, gpu, by_demand) = (h.cpu_status, h.gpu_status, h.status_by_demand);
     let mut t1 = TextTable::new(vec!["job type", "completed%", "canceled%", "failed%"]);
     t1.row(vec![
         "CPU".to_string(),
@@ -949,9 +978,11 @@ fn fig8(ctx: &mut Context) -> ExperimentOutput {
         "GPU-time% (V/E/S/U)",
         "CPU-time% (V/E/S/U)",
     ]);
-    let stats: Vec<Vec<users::UserStats>> =
-        ctx.helios().iter().map(users::per_user_stats).collect();
-    let curves: Vec<_> = stats.iter().map(|s| users::consumption_curves(s)).collect();
+    let curves: Vec<_> = ctx
+        .helios_characterization()
+        .iter()
+        .map(|f| users::consumption_curves(&f.users))
+        .collect();
     for &f in &fractions {
         let gpu: Vec<String> = curves
             .iter()
@@ -982,8 +1013,11 @@ fn fig8(ctx: &mut Context) -> ExperimentOutput {
 }
 
 fn fig9(ctx: &mut Context) -> ExperimentOutput {
-    let stats: Vec<Vec<users::UserStats>> =
-        ctx.helios().iter().map(users::per_user_stats).collect();
+    let stats: Vec<&[users::UserStats]> = ctx
+        .helios_characterization()
+        .iter()
+        .map(|f| f.users.as_slice())
+        .collect();
     let mut t = TextTable::new(vec!["top users", "queue-delay% (V/E/S/U)"]);
     for f in [0.01, 0.05, 0.10, 0.25, 0.50] {
         let qs: Vec<String> = stats
@@ -1813,6 +1847,7 @@ fn fleet_soak(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
     let mut table = TextTable::new(vec!["cluster", "jobs", "outcome digest"]);
     let mut rows_json = Vec::new();
     let mut records = Vec::new();
+    let mut all_outcomes = Vec::with_capacity(submitted as usize);
     for (cluster, outcomes) in &per_cluster {
         let mut sorted = outcomes.clone();
         let digest = sorted_outcome_digest(&mut sorted);
@@ -1837,30 +1872,43 @@ fn fleet_soak(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
             "jobs": sorted.len(),
             "outcome_digest": digest.clone(),
         }));
+        // The clusters run concurrently inside one timed soak, so only
+        // the `ALL` row below carries wall time and throughput.
         records.push(run_record(
             cluster.name(),
             "FLEET-SOAK",
             sorted.len(),
-            wall_secs,
-            sorted.len() as f64 / wall_secs.max(f64::MIN_POSITIVE),
-            digest,
+            None,
+            Some(digest),
         ));
+        all_outcomes.extend(sorted);
     }
+    records.push(run_record(
+        "ALL",
+        "FLEET-SOAK",
+        submitted as usize,
+        Some((
+            wall_secs,
+            submitted as f64 / wall_secs.max(f64::MIN_POSITIVE),
+        )),
+        Some(sorted_outcome_digest(&mut all_outcomes)),
+    ));
     records.push(run_record(
         "ALL",
         "FLEET-INGEST",
         submitted as usize,
-        submit_secs,
-        ingest_jps,
-        outcome_digest(&[]),
+        Some((submit_secs, ingest_jps)),
+        None,
     ));
     records.push(run_record(
         "ALL",
         "FLEET-QUERY",
         queries as usize,
-        query_secs,
-        queries as f64 / query_secs.max(f64::MIN_POSITIVE),
-        outcome_digest(&[]),
+        Some((
+            query_secs,
+            queries as f64 / query_secs.max(f64::MIN_POSITIVE),
+        )),
+        None,
     ));
     ctx.push_records("runs", records);
 
@@ -2728,5 +2776,71 @@ mod tests {
             err,
             HeliosError::UnknownName { kind: "policy", .. }
         ));
+    }
+
+    #[test]
+    fn fleet_soak_records_carry_no_placeholders() {
+        use serde_json::{Number, Value};
+        fn field<'a>(record: &'a Value, key: &str) -> &'a Value {
+            match record {
+                Value::Object(map) => map.get(key).unwrap_or(&Value::Null),
+                other => panic!("record is not an object: {other:?}"),
+            }
+        }
+        let text = |s: &str| Value::String(s.to_string());
+        let is_number = |v: &Value| matches!(v, Value::Number(_));
+
+        let mut ctx = Context::new(0.05, 1).unwrap();
+        run("fleet-soak", &mut ctx).unwrap();
+        let runs = ctx.bench_records("runs");
+        let empty_digest = text(&outcome_digest(&[]));
+        assert!(runs
+            .iter()
+            .all(|r| field(r, "outcome_digest") != &empty_digest));
+
+        // Per-cluster rows: jobs and a digest, no copied aggregate timing.
+        let per_cluster: Vec<&Value> = runs
+            .iter()
+            .filter(|r| field(r, "cluster") != &text("ALL"))
+            .collect();
+        assert_eq!(per_cluster.len(), 5);
+        let mut cluster_jobs = 0;
+        for r in &per_cluster {
+            assert_eq!(field(r, "policy"), &text("FLEET-SOAK"));
+            assert!(matches!(field(r, "outcome_digest"), Value::String(_)));
+            assert_eq!(field(r, "wall_secs"), &Value::Null);
+            assert_eq!(field(r, "jobs_per_sec"), &Value::Null);
+            match field(r, "jobs") {
+                Value::Number(Number::U64(n)) => cluster_jobs += n,
+                other => panic!("jobs is not a count: {other:?}"),
+            }
+        }
+
+        // One aggregate soak row carries the wall time of the whole run.
+        let aggregate = |policy: &str| -> &Value {
+            let rows: Vec<&Value> = runs
+                .iter()
+                .filter(|r| {
+                    field(r, "cluster") == &text("ALL") && field(r, "policy") == &text(policy)
+                })
+                .collect();
+            assert_eq!(rows.len(), 1, "{policy}");
+            rows[0]
+        };
+        let soak = aggregate("FLEET-SOAK");
+        assert_eq!(
+            field(soak, "jobs"),
+            &Value::Number(Number::U64(cluster_jobs))
+        );
+        assert!(is_number(field(soak, "wall_secs")));
+        assert!(is_number(field(soak, "jobs_per_sec")));
+        assert!(matches!(field(soak, "outcome_digest"), Value::String(_)));
+
+        // Ingestion and queries produce no outcomes: a null digest.
+        for policy in ["FLEET-INGEST", "FLEET-QUERY"] {
+            let r = aggregate(policy);
+            assert_eq!(field(r, "outcome_digest"), &Value::Null, "{policy}");
+            assert!(is_number(field(r, "wall_secs")), "{policy}");
+        }
     }
 }

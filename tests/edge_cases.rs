@@ -150,7 +150,10 @@ fn generator_rejects_invalid_scale() {
 
 #[test]
 fn analysis_handles_gpu_only_window() {
-    // A trace window with zero CPU jobs must not break the status split.
+    // Windows with zero CPU jobs, zero GPU jobs or no jobs at all must not
+    // break the status split, the averages or the duration CDFs — per
+    // trace or pooled.
+    use helios_analysis::{characterize, pool};
     let t = generate(
         &venus_profile(),
         &GeneratorConfig {
@@ -159,12 +162,42 @@ fn analysis_handles_gpu_only_window() {
         },
     )
     .unwrap();
-    let gpu_only: Vec<helios_trace::JobRecord> = t.gpu_jobs().cloned().collect();
-    let mut t2 = t.clone();
-    t2.jobs = gpu_only;
-    let (cpu, gpu) = helios_analysis::jobs::status_by_job_class(&[&t2]);
-    assert_eq!(cpu, [0.0; 3]);
-    assert!((gpu.iter().sum::<f64>() - 100.0).abs() < 1e-9);
+    let window = |keep: fn(&helios_trace::JobRecord) -> bool| {
+        let mut w = t.clone();
+        w.jobs.retain(keep);
+        w
+    };
+
+    let gpu_only = characterize(&window(|j| j.is_gpu()));
+    let pooled = pool(&[&gpu_only]);
+    for (cpu, gpu) in [
+        (gpu_only.cpu_status, gpu_only.gpu_status),
+        (pooled.cpu_status, pooled.gpu_status),
+    ] {
+        assert_eq!(cpu, [0.0; 3]);
+        assert!((gpu.iter().sum::<f64>() - 100.0).abs() < 1e-9);
+    }
+
+    let cpu_only = characterize(&window(|j| !j.is_gpu()));
+    let empty = characterize(&window(|_| false));
+    assert!(cpu_only.summary.cpu_jobs > 0);
+    assert_eq!(empty.summary.jobs, 0);
+    for f in [&cpu_only, &empty] {
+        assert_eq!(f.gpu_status, [0.0; 3]);
+        assert_eq!(f.gpu_time_status, [0.0; 3]);
+        assert!(f.status_by_demand.iter().all(|s| *s == [0.0; 3]));
+        assert_eq!(f.summary.avg_gpus, 0.0);
+        assert!(f.gpu_duration_cdf().is_empty());
+    }
+    for parts in [&[&cpu_only][..], &[&empty], &[&cpu_only, &empty]] {
+        let p = pool(parts);
+        assert_eq!(p.summary.clusters, parts.len());
+        assert_eq!(p.gpu_status, [0.0; 3]);
+        assert_eq!(p.gpu_time_status, [0.0; 3]);
+        assert!(p.status_by_demand.iter().all(|s| *s == [0.0; 3]));
+        assert_eq!(p.summary.avg_gpus, 0.0);
+        assert!(p.gpu_duration_cdf.is_empty());
+    }
 }
 
 #[test]
